@@ -34,7 +34,6 @@ from .optimize import (
 )
 from .projective import (
     EigenSet,
-    Ray,
     TriangleReport,
     dist_to_eigenset,
     eigenset,

@@ -31,8 +31,6 @@ class ProblemFile:
     dim: int
     state: State
     observables: dict
-    grid: Grid | None
-    options: dict
 
 
 def _complex_vector(pairs) -> np.ndarray:
@@ -57,7 +55,6 @@ def load_problem(path: str, tol: float = 1e-10) -> ProblemFile:
         if obs.dim != dim:
             raise DimensionMismatch(f"observable {name!r} has dim {obs.dim}, file says {dim}")
         observables[name] = obs
-    grid = None
     if raw.get("grid") is not None:
         spec = raw["grid"]
         grid = Grid(int(spec["n"]), float(spec["length"]), float(spec.get("hbar", 1.0)))
@@ -65,7 +62,7 @@ def load_problem(path: str, tol: float = 1e-10) -> ProblemFile:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")
         observables.setdefault("x", position_op(grid))
         observables.setdefault("p", momentum_op(grid))
-    return ProblemFile(dim, state, observables, grid, raw.get("options", {}))
+    return ProblemFile(dim, state, observables)
 
 
 def _resolve(problem: ProblemFile, name: str) -> Observable:
@@ -115,8 +112,6 @@ def cmd_distances(args) -> int:
 def cmd_minimize(args) -> int:
     if args.restarts < 1:
         raise InvalidParameter(f"restarts must be >= 1, got {args.restarts}")
-    if args.format == "csv":
-        raise InvalidParameter("minimize output is nested; only json is supported")
     problem = load_problem(args.input, args.tol)
     a = _resolve(problem, args.pair[0])
     b = _resolve(problem, args.pair[1])
@@ -174,48 +169,51 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--input", help="problem file (JSON)")
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--metric-scale", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statesphere",
         description="Uncertainty geometry on the sphere of states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand reads a problem file; each declares only the other
+    # flags it reads.
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--input", help="problem file (JSON)")
+    problem.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("report", help="uncertainty relations for an observable pair")
-    _add_common(p)
+    p = sub.add_parser(
+        "report", parents=[problem], help="uncertainty relations for an observable pair"
+    )
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("evolve", help="trace the unitary flow of a generator")
-    _add_common(p)
+    p = sub.add_parser("evolve", parents=[problem], help="trace the unitary flow of a generator")
     p.add_argument("--generator", required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("distances", help="triangle relation between eigenstate sets")
-    _add_common(p)
+    p = sub.add_parser(
+        "distances", parents=[problem], help="triangle relation between eigenstate sets"
+    )
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--metric-scale", type=float, default=1.0)
     p.set_defaults(func=cmd_distances)
 
-    p = sub.add_parser("minimize", help="search for minimal-uncertainty states")
-    _add_common(p)
+    p = sub.add_parser(
+        "minimize", parents=[problem], help="search for minimal-uncertainty states"
+    )
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=500)
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("selftest", help="run the random invariant suite")
-    _add_common(p)
+    p = sub.add_parser("selftest", parents=[problem], help="run the random invariant suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-random", type=int, default=1000)
     p.set_defaults(func=cmd_selftest)
 

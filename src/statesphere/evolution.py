@@ -8,13 +8,13 @@ to the generator's standard deviation at O(dt^2).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import Observable, State, spectral
+from .serialize import csv_row
 from .uncertainty import std_dev
 
 
@@ -30,18 +30,17 @@ class FlowTrace:
     def write_csv(self, fileobj) -> None:
         """Columns: t, interleaved re/im of each amplitude, fs_speed, std_dev."""
         n = self.states[0].dim
-        writer = csv.writer(fileobj)
         header = ["t"]
         for k in range(n):
             header += [f"re_{k}", f"im_{k}"]
         header += ["fs_speed", "std_dev"]
-        writer.writerow(header)
+        fileobj.write(csv_row(header) + "\r\n")
         for t, st, sp, sd in zip(self.times, self.states, self.fs_speeds, self.std_devs):
-            row = [format(float(t), ".17g")]
+            row = [float(t)]
             for z in st.amplitudes:
-                row += [format(z.real, ".17g"), format(z.imag, ".17g")]
-            row += [format(float(sp), ".17g"), format(float(sd), ".17g")]
-            writer.writerow(row)
+                row += [z.real, z.imag]
+            row += [float(sp), float(sd)]
+            fileobj.write(csv_row(row) + "\r\n")
 
 
 def flow(A: Observable, phi: State, t: float) -> State:
@@ -55,7 +54,7 @@ def flow(A: Observable, phi: State, t: float) -> State:
 
 def default_dt(A: Observable) -> float:
     """Central-difference step, inversely scaled by the spectral range."""
-    vals = np.linalg.eigvalsh(A.matrix)
+    vals = spectral(A).eigenvalues
     rng = float(vals[-1] - vals[0])
     return 1e-4 / max(rng, 1e-12)
 

@@ -10,6 +10,7 @@ in this package assumes this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,16 +25,6 @@ from .errors import (
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-12
 DEGENERACY_GAP = 1e-8
-
-
-def matrix_scale(*matrices) -> float:
-    """Scale-free tolerance reference: max(1, largest entry magnitude)."""
-    s = 1.0
-    for m in matrices:
-        arr = np.asarray(m.matrix if isinstance(m, Observable) else m)
-        if arr.size:
-            s = max(s, float(np.max(np.abs(arr))))
-    return s
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,11 @@ class State:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix, identified with the tangent field phi -> -i A phi."""
+    """Hermitian matrix, identified with the tangent field phi -> -i A phi.
+
+    The scale and the spectrum are computed once, on first use, and cached;
+    the matrix must not be mutated in place after construction.
+    """
 
     matrix: np.ndarray
 
@@ -68,7 +63,7 @@ class Observable:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
         resid = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if resid > HERMITIAN_TOL * matrix_scale(m):
+        if resid > HERMITIAN_TOL * self.scale:
             raise NotHermitian(
                 f"matrix is not hermitian: residual {resid:.3e} exceeds tolerance"
             )
@@ -76,6 +71,17 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def scale(self) -> float:
+        """Scale-free tolerance reference: max(1, largest entry magnitude)."""
+        return float(np.abs(self.matrix).max(initial=1.0))
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
+        vals, vecs = np.linalg.eigh(self.matrix)
+        return SpectralDecomposition(vals, vecs)
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def expectation(A: Observable, phi: State) -> float:
     if A.dim != phi.dim:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
     raw = inner(A.matrix @ phi.amplitudes, phi.amplitudes)
-    if abs(raw.imag) > HERMITIAN_TOL * matrix_scale(A):
+    if abs(raw.imag) > HERMITIAN_TOL * A.scale:
         raise NotHermitian(f"expectation has imaginary part {raw.imag:.3e}")
     return float(raw.real)
 
@@ -175,5 +181,4 @@ def brackets(A: Observable, B: Observable):
 
 def spectral(A: Observable) -> SpectralDecomposition:
     """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
-    vals, vecs = np.linalg.eigh(A.matrix)
-    return SpectralDecomposition(vals, vecs)
+    return A.spectrum

@@ -10,12 +10,12 @@ Euclidean gradient of f(v/|v|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateX, DimensionMismatch
-from .hilbert import Observable, State, inner, matrix_scale, normalize
+from .hilbert import Observable, State, inner, normalize
 from .uncertainty import MinimalConditionResult, minimal_condition, std_dev
 
 ARMIJO_C = 1e-4
@@ -104,7 +104,7 @@ def minimize_product(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    scale = matrix_scale(A, B)
+    scale = max(A.scale, B.scale)
     phi = phi0
     f = objective(A, B, phi.amplitudes)
     trace = [f]
@@ -150,7 +150,7 @@ def _certificate(A, B, phi, tol) -> MinimalConditionResult:
     try:
         return minimal_condition(A, B, phi, tol)
     except DegenerateX:
-        if min(std_dev(A, phi), std_dev(B, phi)) <= tol * matrix_scale(A, B):
+        if min(std_dev(A, phi), std_dev(B, phi)) <= tol * max(A.scale, B.scale):
             return MinimalConditionResult(0j, 0.0, 0.0, True)
         return MinimalConditionResult(0j, np.inf, 0.0, False)
 
@@ -168,8 +168,9 @@ def minimize_multistart(
     """Best of several independent descent runs.
 
     Restart 0 uses phi0 when given; the remaining starts are normalized
-    standard complex Gaussian vectors drawn from the recorded seed.  Ties
-    are broken toward the earliest start.
+    standard complex Gaussian vectors drawn from the recorded seed.  A run
+    with a minimal certificate beats any run without one; among equals the
+    lower value wins, and ties are broken toward the earliest start.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -181,17 +182,8 @@ def minimize_multistart(
     while len(starts) < restarts:
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(normalize(v))
-    best = None
-    for st in starts:
-        res = minimize_product(A, B, st, max_iter, grad_tol, cert_tol)
-        if best is None or res.value < best.value:
-            best = res
-    return OptimizeResult(
-        state=best.state,
-        value=best.value,
-        iterations=best.iterations,
-        converged=best.converged,
-        certificate=best.certificate,
-        objective_trace=best.objective_trace,
-        seed=seed,
+    best = min(
+        (minimize_product(A, B, st, max_iter, grad_tol, cert_tol) for st in starts),
+        key=lambda res: (not res.certificate.is_minimal, res.value),
     )
+    return replace(best, seed=seed)

@@ -18,13 +18,6 @@ from .hilbert import Observable, State, inner, spectral
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A state modulo global phase; equality is phase-insensitive."""
-
-    representative: State
-
-
-@dataclass(frozen=True)
 class EigenSet:
     """Mutually orthogonal eigenspaces of an observable, as (value, basis) pairs."""
 
@@ -88,7 +81,6 @@ def dist_to_eigenset(A, phi: State, scale: float = 1.0) -> float:
     if scale <= 0:
         raise InvalidParameter(f"scale must be positive, got {scale}")
     es = _as_eigenset(A)
-    best = 0.0
     overlaps = []
     for _val, basis in es.eigenspaces:
         if basis.shape[0] != phi.dim:
@@ -112,7 +104,6 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
         raise InvalidParameter(f"scale must be positive, got {scale}")
     spaces_a = eigenset(A).eigenspaces
     spaces_b = eigenset(B).eigenspaces
-    best = 0.0
     overlaps = []
     for _va, pa in spaces_a:
         for _vb, pb in spaces_b:

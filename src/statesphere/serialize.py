@@ -34,13 +34,5 @@ def dumps(obj) -> str:
 
 
 def csv_row(values) -> str:
-    """Comma-separated row with floats at 17 significant digits."""
-    parts = []
-    for v in values:
-        if isinstance(v, bool):
-            parts.append("true" if v else "false")
-        elif isinstance(v, float):
-            parts.append(format(v, ".17g"))
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
+    """Comma-separated row: strings as they are, other values as in dumps."""
+    return ",".join(v if isinstance(v, str) else _render(v) for v in values)

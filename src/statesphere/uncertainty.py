@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateX, DimensionMismatch, GeometryError
-from .hilbert import Observable, State, brackets, centered, inner, matrix_scale
+from .hilbert import Observable, State, brackets, centered, inner
 from .realify import metric_g, parallelogram_area, symplectic
-
-EIGENSTATE_FACTOR = 1e-8  # dA = 0 test threshold, times the spectral range
 
 REPORT_FIELDS = (
     "delta_a",
@@ -105,12 +103,6 @@ def std_dev(A: Observable, phi: State) -> float:
     return float(np.linalg.norm(tangent_field(A, phi, True).vec))
 
 
-def eigenstate_threshold(A: Observable) -> float:
-    """Scale-aware zero test for dA: a fraction of the spectral range."""
-    vals = np.linalg.eigvalsh(A.matrix)
-    return EIGENSTATE_FACTOR * max(float(vals[-1] - vals[0]), 1e-300)
-
-
 def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyReport:
     """All uncertainty relations for the triple (A, B, phi) in one report.
 
@@ -130,7 +122,7 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
     area = parallelogram_area(X, Y)
 
     comm, anti = brackets(a_c, b_c)
-    scale = matrix_scale(A, B)
+    scale = max(A.scale, B.scale)
     comm_half = 0.5 * abs(inner(comm @ phi.amplitudes, phi.amplitudes))
     comm_half_symp = abs(symplectic(X, Y))
     if abs(comm_half - comm_half_symp) > 1e-10 * scale**2:
@@ -169,7 +161,7 @@ def minimal_condition(
     X = tangent_field(A, phi, True).vec
     Y = tangent_field(B, phi, True).vec
     nx = float(np.linalg.norm(X))
-    scale = matrix_scale(A, B)
+    scale = max(A.scale, B.scale)
     if nx <= tol * scale:
         raise DegenerateX(f"|X| = {nx:.3e} too small to fit Y = lambda X")
     lam = inner(Y, X) / (nx * nx)

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statesphere import Grid, gaussian
 from statesphere.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 
 def as_pairs(vec):
@@ -158,6 +161,12 @@ class TestEvolve:
             "--t-max", "1.0", "--steps", "1",
         ])
         assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evolve", "--input", pauli_file, "--generator", "sz",
+                "--t-max", "1.0", "--steps", "8", "--format", "csv",
+            ])
+        assert exc.value.code == 2
 
 
 class TestDistances:
@@ -225,3 +234,39 @@ class TestSelftest:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(problem))
         assert main(["selftest", "--input", str(path)]) == 2
+
+
+def test_golden_stdout(tmp_path, capsys):
+    """Every command's stdout on a dense n=4 and an n=16 grid file, byte for byte.
+
+    The one exception is evolve's fs_speed column, allowed 1e-12 relative: it
+    is a finite difference whose step comes from the spectral range, whose
+    last bit can differ between eigensolver routines.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    paths = {}
+    for name, doc in golden["problems"].items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths["{%s}" % name] = str(path)
+
+    def fill(text):
+        for key, path in paths.items():
+            text = text.replace(key, path)
+        return text
+
+    for case in golden["cases"]:
+        assert main([fill(arg) for arg in case["argv"]]) == 0
+        out, expected = capsys.readouterr().out, fill(case["stdout"])
+        if case["argv"][0] != "evolve":
+            assert out == expected, case["argv"]
+            continue
+        rows, want = out.split("\r\n"), expected.split("\r\n")
+        assert len(rows) == len(want), case["argv"]
+        col = want[0].split(",").index("fs_speed")
+        for row, ref in zip(rows, want):
+            if row != ref:
+                cells, ref_cells = row.split(","), ref.split(",")
+                speed, ref_speed = float(cells.pop(col)), float(ref_cells.pop(col))
+                assert cells == ref_cells, case["argv"]
+                assert speed == pytest.approx(ref_speed, rel=1e-12, abs=0), case["argv"]

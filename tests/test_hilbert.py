@@ -13,6 +13,8 @@ from statesphere import (
     inner,
     normalize,
     spectral,
+    trace_flow,
+    triangle_report,
     validate_state,
 )
 
@@ -176,6 +178,23 @@ class TestSpectral:
         spaces = dec.eigenspaces()
         assert len(spaces) == 2
         assert spaces[0][1].shape == (3, 2)
+
+    def test_decomposed_once_per_observable(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(m, solver=solver):
+                calls.append(solver)
+                return solver(m)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(4)
+        phi = random_state(rng, 5)
+        trace_flow(random_hermitian(rng, 5), phi, 1.0, 16)
+        assert len(calls) == 1
+        triangle_report(random_hermitian(rng, 5), random_hermitian(rng, 5), phi)
+        assert len(calls) == 3
 
 
 class TestInvariance:

@@ -135,6 +135,27 @@ class TestMinimizeProduct:
         assert r1.value == r2.value
         assert r1.seed == 7
 
+    def test_certified_restart_beats_lower_uncertified_value(self):
+        # From this two-packet superposition, descent stops at 500 iterations
+        # just below hbar^2/4 (0.24997), unconverged and uncertified, drifting
+        # toward a boundary-bound state; the random restart is certified.
+        g = Grid(64, 40.0)
+        psi = np.zeros(g.n, dtype=complex)
+        for centre, sigma, k0, weight, phase in (
+            (-3.0840343921578315, 1.4551931865786556, -0.5342894938880451,
+             0.7322935313789465, 0.2569908773932812),
+            (7.346838112301143, 0.9884263580760617, -0.4345078141200651,
+             0.9264027652861015, 0.2604827353969633),
+        ):
+            envelope = -((g.points - centre) ** 2) / (4 * sigma**2)
+            psi += weight * np.exp(2j * np.pi * phase + envelope + 1j * k0 * g.points)
+        res = minimize_multistart(
+            position_op(g), momentum_op(g), phi0=normalize(psi), restarts=2, seed=1
+        )
+        assert res.certificate.is_minimal
+        assert res.converged
+        assert res.value == pytest.approx(g.hbar**2 / 4, abs=1e-12)
+
     def test_canonical_equality_structure_at_converged_point(self):
         # at the canonical minimum the area carries hbar/2 and the metric
         # term vanishes
