@@ -7,6 +7,8 @@ from .errors import (
     DimensionTooSmall,
     GeometryError,
     InvalidParameter,
+    MalformedInput,
+    NonFinite,
     NotHermitian,
     NotNormalized,
     SupportViolation,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import serialize
 from .canonical import Grid, momentum_op, position_op
-from .errors import DimensionMismatch, GeometryError, InvalidParameter
+from .errors import DimensionMismatch, GeometryError, InvalidParameter, MalformedInput
 from .evolution import trace_flow
 from .hilbert import Observable, State, validate_state
 from .optimize import minimize_multistart
@@ -33,31 +33,54 @@ class ProblemFile:
     observables: dict
 
 
-def _complex_vector(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
+def _complex_array(value, depth: int, what: str) -> np.ndarray:
+    """[re, im] number pairs nested `depth` lists deep, as a complex array."""
+    expected = f"{what}: expected {'rows of ' * (depth - 1)}[re, im] number pairs"
+    try:
+        arr = np.array(value)
+    except ValueError as exc:  # ragged nesting
+        raise MalformedInput(expected) from exc
+    if arr.size == 0:
+        return arr.astype(complex)  # no entries: the dimension checks reject it
+    if arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2:
+        raise MalformedInput(expected)
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
-def _complex_matrix(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be a JSON object")
+    return value
+
+
+def _number(convert, value, what: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{what} must be a number, got {value!r}") from exc
 
 
 def load_problem(path: str, tol: float = 1e-10) -> ProblemFile:
     """Parse and validate a problem file; grid problems gain 'x' and 'p'."""
     with open(path) as fh:
-        raw = json.load(fh)
-    dim = int(raw["dim"])
-    state = validate_state(_complex_vector(raw["state"]), tol=max(tol, 1e-10))
+        raw = _object(json.load(fh), "problem file")
+    dim = _number(int, raw["dim"], "dim")
+    state = validate_state(_complex_array(raw["state"], 1, "state"), tol=max(tol, 1e-10))
     if state.dim != dim:
         raise DimensionMismatch(f"state has dim {state.dim}, file says {dim}")
     observables = {}
-    for name, rows in raw.get("observables", {}).items():
-        obs = Observable(_complex_matrix(rows))
+    for name, rows in _object(raw.get("observables", {}), "observables").items():
+        obs = Observable(_complex_array(rows, 2, f"observable {name!r}"))
         if obs.dim != dim:
             raise DimensionMismatch(f"observable {name!r} has dim {obs.dim}, file says {dim}")
         observables[name] = obs
     if raw.get("grid") is not None:
-        spec = raw["grid"]
-        grid = Grid(int(spec["n"]), float(spec["length"]), float(spec.get("hbar", 1.0)))
+        spec = _object(raw["grid"], "grid")
+        grid = Grid(
+            _number(int, spec["n"], "grid n"),
+            _number(float, spec["length"], "grid length"),
+            _number(float, spec.get("hbar", 1.0), "grid hbar"),
+        )
         if grid.n != dim:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")
         observables.setdefault("x", position_op(grid))
@@ -134,6 +157,8 @@ def _random_hermitian(rng, n) -> Observable:
 
 
 def cmd_selftest(args) -> int:
+    if args.n_random < 0:
+        raise InvalidParameter(f"n-random must be >= 0, got {args.n_random}")
     if args.input is not None:
         load_problem(args.input, args.tol)
         print(f"selftest: problem file {args.input!r} validates")
@@ -175,47 +200,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uncertainty geometry on the sphere of states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Every subcommand reads a problem file; each declares only the other
-    # flags it reads.
-    problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument("--input", help="problem file (JSON)")
-    problem.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser(
-        "report", parents=[problem], help="uncertainty relations for an observable pair"
-    )
+    def command(name, func, help, input_required=True):
+        # selftest alone runs without a problem file; each command declares
+        # only the other flags it reads.
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--input", required=input_required, help="problem file (JSON)")
+        p.add_argument("--tol", type=float, default=1e-10)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("report", cmd_report, "uncertainty relations for an observable pair")
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("evolve", parents=[problem], help="trace the unitary flow of a generator")
+    p = command("evolve", cmd_evolve, "trace the unitary flow of a generator")
     p.add_argument("--generator", required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser(
-        "distances", parents=[problem], help="triangle relation between eigenstate sets"
-    )
+    p = command("distances", cmd_distances, "triangle relation between eigenstate sets")
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--metric-scale", type=float, default=1.0)
-    p.set_defaults(func=cmd_distances)
 
-    p = sub.add_parser(
-        "minimize", parents=[problem], help="search for minimal-uncertainty states"
-    )
+    p = command("minimize", cmd_minimize, "search for minimal-uncertainty states")
     p.add_argument("--pair", nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-iter", type=int, default=500)
-    p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("selftest", parents=[problem], help="run the random invariant suite")
+    p = command("selftest", cmd_selftest, "run the random invariant suite", input_required=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-random", type=int, default=1000)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -227,7 +245,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (GeometryError, ValueError, KeyError) as exc:

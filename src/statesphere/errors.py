@@ -21,6 +21,14 @@ class NotNormalized(GeometryError):
     """Input vector deviates from unit norm beyond the allowed tolerance."""
 
 
+class NonFinite(GeometryError):
+    """An input vector or matrix holds a NaN or infinite entry."""
+
+
+class MalformedInput(GeometryError):
+    """An input file does not have the documented structure."""
+
+
 class NotHermitian(GeometryError):
     """Matrix fails the Hermiticity check."""
 

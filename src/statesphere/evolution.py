@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import Observable, State, spectral
-from .serialize import csv_row
+from .serialize import format_float
 from .uncertainty import std_dev
 
 
@@ -30,17 +30,13 @@ class FlowTrace:
     def write_csv(self, fileobj) -> None:
         """Columns: t, interleaved re/im of each amplitude, fs_speed, std_dev."""
         n = self.states[0].dim
-        header = ["t"]
-        for k in range(n):
-            header += [f"re_{k}", f"im_{k}"]
-        header += ["fs_speed", "std_dev"]
-        fileobj.write(csv_row(header) + "\r\n")
-        for t, st, sp, sd in zip(self.times, self.states, self.fs_speeds, self.std_devs):
-            row = [float(t)]
-            for z in st.amplitudes:
-                row += [z.real, z.imag]
-            row += [float(sp), float(sd)]
-            fileobj.write(csv_row(row) + "\r\n")
+        amplitude_columns = [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
+        fileobj.write(",".join(["t", *amplitude_columns, "fs_speed", "std_dev"]) + "\r\n")
+        amplitudes = np.array([st.amplitudes for st in self.states])
+        table = np.column_stack(
+            [self.times, amplitudes.view(float), self.fs_speeds, self.std_devs]
+        )
+        fileobj.writelines(",".join(map(format_float, row)) + "\r\n" for row in table.tolist())
 
 
 def flow(A: Observable, phi: State, t: float) -> State:

@@ -9,6 +9,7 @@ in this package assumes this one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
+    NonFinite,
     NotHermitian,
     NotNormalized,
     ZeroVector,
@@ -39,6 +41,7 @@ class State:
         if amps.size < 2:
             raise DimensionTooSmall(f"need n >= 2, got n={amps.size}")
         nrm = np.linalg.norm(amps)
+        _require_finite(nrm, "state")
         if abs(nrm - 1.0) > 1e-10:
             raise NotNormalized(f"state norm {nrm} not within tolerance of 1")
 
@@ -62,6 +65,7 @@ class Observable:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
+        _require_finite(self.scale, "observable")
         resid = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
         if resid > HERMITIAN_TOL * self.scale:
             raise NotHermitian(
@@ -91,6 +95,21 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def clusters(self, gap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Near-degenerate eigenvalues grouped into eigenspaces, as (values, starts).
+
+        Neighbouring eigenvalues closer than `gap` (default: DEGENERACY_GAP
+        relative to the largest magnitude) share an eigenspace.  Eigenspace k
+        spans the eigenvector columns from starts[k] up to the next start,
+        and values[k] is the mean of its eigenvalues.
+        """
+        vals = self.eigenvalues
+        if gap is None:
+            gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
+        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
+        values = np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
+        return values, starts
+
     def eigenspaces(self, gap: float | None = None):
         """Group near-degenerate eigenvalues into eigenspaces.
 
@@ -99,19 +118,18 @@ class SpectralDecomposition:
         quantities (distances to eigenstate sets) must use these clusters,
         never the raw eigenvector columns.
         """
-        vals = self.eigenvalues
-        if gap is None:
-            gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
-        spaces = []
-        start = 0
-        for k in range(1, vals.size + 1):
-            if k == vals.size or vals[k] - vals[k - 1] >= gap:
-                cluster = vals[start:k]
-                spaces.append(
-                    (float(np.mean(cluster)), self.eigenvectors[:, start:k])
-                )
-                start = k
-        return spaces
+        values, starts = self.clusters(gap)
+        return list(zip(values.tolist(), np.split(self.eigenvectors, starts[1:], axis=1)))
+
+
+def _require_finite(magnitude: float, what: str) -> None:
+    """Reject a NaN or infinite entry through a norm or largest magnitude.
+
+    Any such entry makes the aggregate non-finite, so one scalar test
+    covers the whole array.
+    """
+    if not math.isfinite(magnitude):
+        raise NonFinite(f"{what} has a NaN or infinite entry (or its magnitude overflows)")
 
 
 def validate_state(v, tol: float = NORM_TOL) -> State:
@@ -124,6 +142,7 @@ def validate_state(v, tol: float = NORM_TOL) -> State:
     if v.size < 2:
         raise DimensionTooSmall(f"need n >= 2, got n={v.size}")
     nrm = np.linalg.norm(v)
+    _require_finite(nrm, "vector")
     if nrm < 1e-14:
         raise ZeroVector("cannot normalize a (numerically) zero vector")
     if abs(nrm - 1.0) > tol:

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import json
 
+# 17 significant digits round-trip every double.
+format_float = "{:.17g}".format
+
 
 def _render(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        return format_float(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):

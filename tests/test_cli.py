@@ -236,6 +236,50 @@ class TestSelftest:
         assert main(["selftest", "--input", str(path)]) == 2
 
 
+def sigma_x_problem(**fields):
+    """A valid dim-2 problem with observable 'a', with the given fields replaced."""
+    return {"dim": 2, "state": as_pairs([1, 0]), "observables": {"a": as_matrix([[0, 1], [1, 0]])},
+            **fields}
+
+
+REPORT = ["report", "--input", "{input}", "--pair", "a", "a"]
+# argv ({input} stands for the problem file), problem file contents, exit code
+EXIT_CODE_TABLE = [
+    pytest.param(["report", "--pair", "a", "a"], None, 2, id="report-no-input"),
+    pytest.param(["evolve", "--generator", "a", "--t-max", "1", "--steps", "4"], None, 2,
+                 id="evolve-no-input"),
+    pytest.param(["distances", "--pair", "a", "a"], None, 2, id="distances-no-input"),
+    pytest.param(["minimize", "--pair", "a", "a"], None, 2, id="minimize-no-input"),
+    pytest.param(["selftest", "--n-random", "-5"], None, 2, id="negative-n-random"),
+    pytest.param(REPORT, sigma_x_problem(state=[1, 0]), 1, id="state-not-pairs"),
+    pytest.param(REPORT, [sigma_x_problem()], 1, id="top-level-array"),
+    pytest.param(REPORT, sigma_x_problem(state=[[1, 0, 0], [0, 0, 0]]), 1, id="pair-of-three"),
+    pytest.param(REPORT, sigma_x_problem(state=[["1", 0], [0, 0]]), 1, id="string-entry"),
+    pytest.param(REPORT, sigma_x_problem(dim=None), 1, id="dim-null"),
+    pytest.param(REPORT, sigma_x_problem(observables=[]), 1, id="observables-array"),
+    pytest.param(REPORT, sigma_x_problem(observables={"a": as_matrix([[np.nan, 1], [1, 0]])}),
+                 2, id="nan-observable"),
+    pytest.param(["distances", *REPORT[1:]],
+                 sigma_x_problem(observables={"a": as_matrix([[np.inf, 1], [1, 0]])}),
+                 2, id="infinite-observable"),
+]
+
+
+@pytest.mark.parametrize("argv,problem,code", EXIT_CODE_TABLE)
+def test_exit_code_table(tmp_path, capsys, argv, problem, code):
+    """Each malformed call exits with its documented code and no traceback."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    try:
+        rc = main([str(path) if arg == "{input}" else arg for arg in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err
+    assert "Traceback" not in err
+
+
 def test_golden_stdout(tmp_path, capsys):
     """Every command's stdout on a dense n=4 and an n=16 grid file, byte for byte.
 

@@ -4,8 +4,10 @@ import pytest
 from statesphere import (
     DimensionMismatch,
     DimensionTooSmall,
+    NonFinite,
     NotHermitian,
     Observable,
+    State,
     ZeroVector,
     brackets,
     centered,
@@ -38,6 +40,14 @@ class TestValidateState:
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
             validate_state([1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected_at_any_tol(self, bad):
+        for tol in (1e-12, np.inf):
+            with pytest.raises(NonFinite):
+                validate_state([bad, 1], tol=tol)
+        with pytest.raises(NonFinite):
+            State([bad, 1])
 
 
 class TestInner:
@@ -83,6 +93,11 @@ class TestExpectation:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
             Observable([[0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observable_rejected(self, bad):
+        with pytest.raises(NonFinite):
+            Observable([[bad, 0], [0, 1]])
 
 
 class TestCentered:

@@ -3,6 +3,7 @@ import pytest
 
 from statesphere import (
     DimensionMismatch,
+    Grid,
     Observable,
     dist_to_eigenset,
     eigenset,
@@ -10,7 +11,10 @@ from statesphere import (
     fs_distance,
     horizontal,
     inner,
+    momentum_op,
     normalize,
+    position_op,
+    spectral,
     std_dev,
     tangent_field,
     triangle_report,
@@ -18,6 +22,32 @@ from statesphere import (
 )
 
 from conftest import random_hermitian, random_state, random_unitary
+
+
+def with_widths(rng, widths):
+    """Random unitary conjugate of a spectrum whose eigenspaces have these widths."""
+    values = np.repeat(np.arange(len(widths), dtype=float), widths)
+    u = random_unitary(rng, values.size)
+    return Observable((u * values) @ u.conj().T)
+
+
+MIXED_WIDTHS = [1, 2, 3, 3, 1, 2, 2, 1, 3]
+
+
+def pairwise_set_distance(a, b):
+    """The definition, pair by pair: arccos of max over pairs of ||P_B^H P_A||_2."""
+    best = max(
+        np.linalg.norm(pb.conj().T @ pa, ord=2)
+        for _, pa in spectral(a).eigenspaces()
+        for _, pb in spectral(b).eigenspaces()
+    )
+    return float(np.arccos(min(best, 1.0)))
+
+
+def per_space_distance(a, phi):
+    """The definition, space by space: arccos of max over eigenspaces of |P phi|."""
+    best = max(np.linalg.norm(p.conj().T @ phi.amplitudes) for _, p in spectral(a).eigenspaces())
+    return float(np.arccos(min(best, 1.0)))
 
 
 class TestFsDistance:
@@ -100,6 +130,21 @@ class TestDistToEigenset:
         es = eigenset(sz)
         assert dist_to_eigenset(es, normalize([1, 1])) == pytest.approx(np.pi / 4)
 
+    def test_degenerate_spectra_match_definition(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a = with_widths(rng, MIXED_WIDTHS)
+            assert eigenset(a).widths.tolist() == MIXED_WIDTHS
+            for _ in range(4):
+                phi = random_state(rng, a.dim)
+                assert abs(dist_to_eigenset(a, phi) - per_space_distance(a, phi)) <= 1e-12
+            inside = normalize(eigenset(a).eigenspaces[2][1] @ rng.standard_normal(3))
+            assert dist_to_eigenset(a, inside) == pytest.approx(0.0, abs=1e-7)
+
+    def test_dimension_mismatch(self, sz):
+        with pytest.raises(DimensionMismatch):
+            dist_to_eigenset(sz, validate_state([1, 0, 0]))
+
     def test_zero_iff_vanishing_deviation(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 4)
@@ -130,6 +175,38 @@ class TestEigensetDistance:
             Observable(u @ sy.matrix @ u.conj().T),
         )
         assert d == pytest.approx(np.pi / 4, abs=1e-10)
+
+
+    def test_degenerate_spectra_match_definition(self):
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            a = with_widths(rng, MIXED_WIDTHS)
+            b = with_widths(rng, MIXED_WIDTHS[::-1])
+            assert abs(eigenset_distance(a, b) - pairwise_set_distance(a, b)) <= 1e-12
+            assert abs(eigenset_distance(b, a) - pairwise_set_distance(b, a)) <= 1e-12
+
+    def test_grid_pair_matches_definition(self):
+        g = Grid(32, 40.0)
+        x, p = position_op(g), momentum_op(g)
+        assert abs(eigenset_distance(x, p) - pairwise_set_distance(x, p)) <= 1e-12
+
+    def test_svd_calls_grow_with_width_groups_not_pairs(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        a = with_widths(rng, [1, 2, 3] * 4)
+        b = with_widths(rng, [3, 2, 1] * 4)
+        expected = pairwise_set_distance(a, b)
+        calls = []
+        for name in ("svd", "norm"):
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, fn=fn, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert abs(eigenset_distance(a, b) - expected) <= 1e-12
+        # 12 x 12 eigenspace pairs fall into 3 x 3 (width_B, width_A) groups
+        assert len(calls) <= 9
 
 
 class TestTriangleReport:
