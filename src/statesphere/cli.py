@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,7 @@ from .hilbert import Observable, State, validate_state
 from .optimize import minimize_multistart
 from .projective import triangle_report
 from .realify import metric_g, parallelogram_area, symplectic
-from .uncertainty import REPORT_FIELDS, relations_report, tangent_field
-
-
-@dataclass
-class ProblemFile:
-    dim: int
-    state: State
-    observables: dict
+from .uncertainty import relations_report, tangent_field
 
 
 def _complex_array(value, depth: int, what: str) -> np.ndarray:
@@ -53,19 +46,36 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _required(obj: dict, key: str, what: str):
+    if key not in obj:
+        raise MalformedInput(f"{what} is missing")
+    return obj[key]
+
+
 def _number(convert, value, what: str):
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{what} must be a number, got {value!r}") from exc
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+        number = math.nan
+    if not -math.inf < number < math.inf:  # false for NaN; ints of any size pass
+        raise MalformedInput(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
-def load_problem(path: str, tol: float = 1e-10) -> ProblemFile:
-    """Parse and validate a problem file; grid problems gain 'x' and 'p'."""
-    with open(path) as fh:
-        raw = _object(json.load(fh), "problem file")
-    dim = _number(int, raw["dim"], "dim")
-    state = validate_state(_complex_array(raw["state"], 1, "state"), tol=max(tol, 1e-10))
+def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
+    """Parse and validate a problem file into its state and named observables.
+
+    Grid problems gain the observables 'x' and 'p'.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+            raise MalformedInput(str(exc)) from exc
+    raw = _object(doc, "problem file")
+    dim = _number(int, _required(raw, "dim", "dim"), "dim")
+    state = _complex_array(_required(raw, "state", "state"), 1, "state")
+    state = validate_state(state, tol=max(tol, 1e-10))
     if state.dim != dim:
         raise DimensionMismatch(f"state has dim {state.dim}, file says {dim}")
     observables = {}
@@ -77,40 +87,44 @@ def load_problem(path: str, tol: float = 1e-10) -> ProblemFile:
     if raw.get("grid") is not None:
         spec = _object(raw["grid"], "grid")
         grid = Grid(
-            _number(int, spec["n"], "grid n"),
-            _number(float, spec["length"], "grid length"),
+            _number(int, _required(spec, "n", "grid n"), "grid n"),
+            _number(float, _required(spec, "length", "grid length"), "grid length"),
             _number(float, spec.get("hbar", 1.0), "grid hbar"),
         )
         if grid.n != dim:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")
         observables.setdefault("x", position_op(grid))
         observables.setdefault("p", momentum_op(grid))
-    return ProblemFile(dim, state, observables)
+    return state, observables
 
 
-def _resolve(problem: ProblemFile, name: str) -> Observable:
-    if name not in problem.observables:
+def _resolve(observables: dict, name: str) -> Observable:
+    if name not in observables:
         raise GeometryError(f"unknown observable {name!r}")
-    return problem.observables[name]
+    return observables[name]
+
+
+def _emit(fields: dict, fmt: str) -> None:
+    """One JSON object, or a CSV header of the field names and one row."""
+    if fmt == "csv":
+        print(",".join(fields))
+        print(serialize.csv_row(fields.values()))
+    else:
+        print(serialize.dumps(fields))
 
 
 def cmd_report(args) -> int:
-    problem = load_problem(args.input, args.tol)
-    a = _resolve(problem, args.pair[0])
-    b = _resolve(problem, args.pair[1])
-    report = relations_report(a, b, problem.state).to_dict()
-    if args.format == "csv":
-        print(",".join(REPORT_FIELDS))
-        print(serialize.csv_row(report.values()))
-    else:
-        print(serialize.dumps(report))
+    state, observables = load_problem(args.input, args.tol)
+    a = _resolve(observables, args.pair[0])
+    b = _resolve(observables, args.pair[1])
+    _emit(relations_report(a, b, state).to_dict(), args.format)
     return 0
 
 
 def cmd_evolve(args) -> int:
-    problem = load_problem(args.input, args.tol)
-    gen = _resolve(problem, args.generator)
-    trace = trace_flow(gen, problem.state, args.t_max, args.steps)
+    state, observables = load_problem(args.input, args.tol)
+    gen = _resolve(observables, args.generator)
+    trace = trace_flow(gen, state, args.t_max, args.steps)
     if args.out is None:
         trace.write_csv(sys.stdout)
     else:
@@ -120,28 +134,21 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    problem = load_problem(args.input, args.tol)
-    a = _resolve(problem, args.pair[0])
-    b = _resolve(problem, args.pair[1])
-    report = triangle_report(a, b, problem.state, args.metric_scale).to_dict()
-    if args.format == "csv":
-        print(",".join(report))
-        print(serialize.csv_row(report.values()))
-    else:
-        print(serialize.dumps(report))
+    state, observables = load_problem(args.input, args.tol)
+    a = _resolve(observables, args.pair[0])
+    b = _resolve(observables, args.pair[1])
+    _emit(triangle_report(a, b, state, args.metric_scale).to_dict(), args.format)
     return 0
 
 
 def cmd_minimize(args) -> int:
-    if args.restarts < 1:
-        raise InvalidParameter(f"restarts must be >= 1, got {args.restarts}")
-    problem = load_problem(args.input, args.tol)
-    a = _resolve(problem, args.pair[0])
-    b = _resolve(problem, args.pair[1])
+    state, observables = load_problem(args.input, args.tol)
+    a = _resolve(observables, args.pair[0])
+    b = _resolve(observables, args.pair[1])
     result = minimize_multistart(
         a,
         b,
-        phi0=problem.state,
+        phi0=state,
         restarts=args.restarts,
         seed=args.seed,
         max_iter=args.max_iter,
@@ -241,14 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A NaN, overflow or division by zero in numpy fails the command.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError, MalformedInput) as exc:
+    except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GeometryError, ValueError, KeyError) as exc:
+    except (GeometryError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

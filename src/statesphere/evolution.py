@@ -8,6 +8,7 @@ to the generator's standard deviation at O(dt^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ def trace_flow(A: Observable, phi: State, t_max: float, steps: int) -> FlowTrace
     """Sample the flow on a uniform time grid of `steps` points."""
     if steps < 2:
         raise InvalidParameter(f"need steps >= 2, got {steps}")
+    if not math.isfinite(t_max):
+        raise InvalidParameter(f"t_max must be finite, got {t_max}")
     times = np.linspace(0.0, t_max, steps)
     dt = default_dt(A)
     states = [flow(A, phi, t) for t in times]

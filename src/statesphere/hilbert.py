@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
+    InvalidParameter,
     NonFinite,
     NotHermitian,
     NotNormalized,
@@ -95,22 +96,21 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def clusters(self, gap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def clusters(self) -> tuple[np.ndarray, np.ndarray]:
         """Near-degenerate eigenvalues grouped into eigenspaces, as (values, starts).
 
-        Neighbouring eigenvalues closer than `gap` (default: DEGENERACY_GAP
-        relative to the largest magnitude) share an eigenspace.  Eigenspace k
-        spans the eigenvector columns from starts[k] up to the next start,
-        and values[k] is the mean of its eigenvalues.
+        Neighbouring eigenvalues closer than DEGENERACY_GAP relative to the
+        largest magnitude share an eigenspace.  Eigenspace k spans the
+        eigenvector columns from starts[k] up to the next start, and
+        values[k] is the mean of its eigenvalues.
         """
         vals = self.eigenvalues
-        if gap is None:
-            gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
+        gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
         starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
         values = np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
         return values, starts
 
-    def eigenspaces(self, gap: float | None = None):
+    def eigenspaces(self):
         """Group near-degenerate eigenvalues into eigenspaces.
 
         Returns a list of (eigenvalue, basis) pairs where basis columns span
@@ -118,7 +118,7 @@ class SpectralDecomposition:
         quantities (distances to eigenstate sets) must use these clusters,
         never the raw eigenvector columns.
         """
-        values, starts = self.clusters(gap)
+        values, starts = self.clusters()
         return list(zip(values.tolist(), np.split(self.eigenvectors, starts[1:], axis=1)))
 
 
@@ -138,6 +138,8 @@ def validate_state(v, tol: float = NORM_TOL) -> State:
     The input must be within `tol` of unit norm (pass tol=inf to accept any
     nonzero vector); the output is renormalized to exact unit norm either way.
     """
+    if math.isnan(tol):
+        raise InvalidParameter("tol must be a number, got nan")
     v = np.asarray(v, dtype=complex).ravel()
     if v.size < 2:
         raise DimensionTooSmall(f"need n >= 2, got n={v.size}")

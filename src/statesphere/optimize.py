@@ -19,6 +19,7 @@ from .hilbert import Observable, State, inner, normalize
 from .uncertainty import MinimalConditionResult, minimal_condition, std_dev
 
 ARMIJO_C = 1e-4
+CERT_TOL = 1e-5
 SHRINK = 0.5
 MAX_BACKTRACKS = 60
 
@@ -93,7 +94,6 @@ def minimize_product(
     phi0: State,
     max_iter: int = 500,
     grad_tol: float = 1e-8,
-    cert_tol: float = 1e-5,
 ) -> OptimizeResult:
     """Projected gradient descent from phi0 with monotone backtracking.
 
@@ -135,12 +135,12 @@ def minimize_product(
         value=f,
         iterations=it,
         converged=converged,
-        certificate=_certificate(A, B, phi, cert_tol),
+        certificate=_certificate(A, B, phi),
         objective_trace=trace,
     )
 
 
-def _certificate(A, B, phi, tol) -> MinimalConditionResult:
+def _certificate(A, B, phi) -> MinimalConditionResult:
     """Minimality certificate, with the eigenstate edge case handled.
 
     When either centered tangent field vanishes (phi is an eigenstate), the
@@ -148,11 +148,11 @@ def _certificate(A, B, phi, tol) -> MinimalConditionResult:
     that is a global minimum, reported as a trivially minimal certificate.
     """
     try:
-        return minimal_condition(A, B, phi, tol)
+        return minimal_condition(A, B, phi, CERT_TOL)
     except DegenerateX:
-        if min(std_dev(A, phi), std_dev(B, phi)) <= tol * max(A.scale, B.scale):
-            return MinimalConditionResult(0j, 0.0, 0.0, True)
-        return MinimalConditionResult(0j, np.inf, 0.0, False)
+        if min(std_dev(A, phi), std_dev(B, phi)) <= CERT_TOL * max(A.scale, B.scale):
+            return MinimalConditionResult(0j, 0.0, True)
+        return MinimalConditionResult(0j, np.inf, False)
 
 
 def minimize_multistart(
@@ -163,7 +163,6 @@ def minimize_multistart(
     seed: int = 0,
     max_iter: int = 500,
     grad_tol: float = 1e-8,
-    cert_tol: float = 1e-5,
 ) -> OptimizeResult:
     """Best of several independent descent runs.
 
@@ -183,7 +182,7 @@ def minimize_multistart(
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(normalize(v))
     best = min(
-        (minimize_product(A, B, st, max_iter, grad_tol, cert_tol) for st in starts),
+        (minimize_product(A, B, st, max_iter, grad_tol) for st in starts),
         key=lambda res: (not res.certificate.is_minimal, res.value),
     )
     return replace(best, seed=seed)

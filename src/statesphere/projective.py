@@ -9,7 +9,8 @@ degenerate observable's eigenstate set are measured against eigenspaces
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,20 +52,19 @@ class TriangleReport:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "d_phi_a": self.d_phi_a,
-            "d_phi_b": self.d_phi_b,
-            "d_a_b": self.d_a_b,
-            "slack": self.slack,
-        }
+        return asdict(self)
+
+
+def _require_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidParameter(f"scale must be positive and finite, got {scale}")
 
 
 def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
     """Geodesic distance between the rays of phi and psi."""
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"state dims {phi.dim} != {psi.dim}")
-    if scale <= 0:
-        raise InvalidParameter(f"scale must be positive, got {scale}")
+    _require_scale(scale)
     overlap = min(abs(inner(phi.amplitudes, psi.amplitudes)), 1.0)
     return scale * float(np.arccos(overlap))
 
@@ -97,8 +97,7 @@ def dist_to_eigenset(A, phi: State, scale: float = 1.0) -> float:
     phi lies in some eigenspace.  One projection onto the whole eigenbasis
     gives every |P phi|^2 as a sum over the eigenspace's columns.
     """
-    if scale <= 0:
-        raise InvalidParameter(f"scale must be positive, got {scale}")
+    _require_scale(scale)
     es = _as_eigenset(A)
     if es.basis.shape[0] != phi.dim:
         raise DimensionMismatch("eigenspace and state dims differ")
@@ -143,8 +142,7 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
-    if scale <= 0:
-        raise InvalidParameter(f"scale must be positive, got {scale}")
+    _require_scale(scale)
     es_a = eigenset(A)
     es_b = eigenset(B)
     overlap = es_b.basis.conj().T @ es_a.basis

@@ -16,9 +16,6 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroVector
 from .hilbert import inner
 
-AREA_CLAMP = 1e-12
-
-
 @dataclass(frozen=True)
 class RealizedVector:
     """Interleaved Re/Im coordinates; the map is an isometry."""
@@ -38,7 +35,6 @@ class AdaptedCoordinates:
 
     x: np.ndarray
     y: np.ndarray
-    basis_note: str
 
 
 def realize(xi) -> RealizedVector:
@@ -101,11 +97,9 @@ def adapted_basis(X, Y) -> AdaptedCoordinates:
     if nr < 1e-12 * max(ny, 1.0):
         # Y lies in the complex line of X; e_2 is arbitrary.
         y = np.array([c1.real, c1.imag, 0.0, 0.0])
-        note = "e2 arbitrary (Y in the complex line of X)"
     else:
         e2 = resid / nr
         c2 = inner(Y, e2)
         y = np.array([c1.real, c1.imag, c2.real, c2.imag])
-        note = "e2 by Gram-Schmidt from Y"
     x = np.array([nx, 0.0, 0.0, 0.0])
-    return AdaptedCoordinates(x, y, note)
+    return AdaptedCoordinates(x, y)

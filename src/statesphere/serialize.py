@@ -37,5 +37,5 @@ def dumps(obj) -> str:
 
 
 def csv_row(values) -> str:
-    """Comma-separated row: strings as they are, other values as in dumps."""
-    return ",".join(v if isinstance(v, str) else _render(v) for v in values)
+    """Comma-separated row, each value rendered as in dumps."""
+    return ",".join(map(_render, values))

@@ -11,28 +11,13 @@ parallelogram area closes the identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DegenerateX, DimensionMismatch, GeometryError
 from .hilbert import Observable, State, brackets, centered, inner
 from .realify import metric_g, parallelogram_area, symplectic
-
-REPORT_FIELDS = (
-    "delta_a",
-    "delta_b",
-    "area",
-    "metric_term",
-    "commutator_half",
-    "anticommutator_half",
-    "identity_residual",
-    "theta",
-    "robertson_slack",
-    "schrodinger_slack",
-    "area_bound_slack",
-)
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -64,8 +49,10 @@ class UncertaintyReport:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        """Flat dict with the serialized field names, in fixed order."""
-        return {name: getattr(self, name) for name in REPORT_FIELDS}
+        """The printed fields in declaration order; `degenerate` is not printed."""
+        fields = asdict(self)
+        del fields["degenerate"]
+        return fields
 
 
 @dataclass(frozen=True)
@@ -74,8 +61,11 @@ class MinimalConditionResult:
 
     lam: complex
     residual: float
-    re_lambda: float
     is_minimal: bool
+
+    @property
+    def re_lambda(self) -> float:
+        return self.lam.real
 
     def to_dict(self) -> dict:
         return {
@@ -173,6 +163,5 @@ def minimal_condition(
     return MinimalConditionResult(
         lam=complex(lam),
         residual=residual,
-        re_lambda=float(lam.real),
         is_minimal=bool(is_minimal),
     )

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from statesphere import Grid, gaussian
 from statesphere.cli import main
@@ -236,14 +238,20 @@ class TestSelftest:
         assert main(["selftest", "--input", str(path)]) == 2
 
 
-def sigma_x_problem(**fields):
-    """A valid dim-2 problem with observable 'a', with the given fields replaced."""
-    return {"dim": 2, "state": as_pairs([1, 0]), "observables": {"a": as_matrix([[0, 1], [1, 0]])},
-            **fields}
+def sigma_x_problem(*missing, **fields):
+    """A valid dim-2 problem with observable 'a', the given fields replaced or left out."""
+    problem = {"dim": 2, "state": as_pairs([1, 0]),
+               "observables": {"a": as_matrix([[0, 1], [1, 0]])}, **fields}
+    for name in missing:
+        del problem[name]
+    return problem
 
 
 REPORT = ["report", "--input", "{input}", "--pair", "a", "a"]
-# argv ({input} stands for the problem file), problem file contents, exit code
+DISTANCES = ["distances", *REPORT[1:]]
+EVOLVE = ["evolve", "--input", "{input}", "--generator", "a", "--steps", "4"]
+# argv ({input} stands for the problem file), problem file contents (bytes are
+# written as they are, anything else as JSON), exit code
 EXIT_CODE_TABLE = [
     pytest.param(["report", "--pair", "a", "a"], None, 2, id="report-no-input"),
     pytest.param(["evolve", "--generator", "a", "--t-max", "1", "--steps", "4"], None, 2,
@@ -259,25 +267,92 @@ EXIT_CODE_TABLE = [
     pytest.param(REPORT, sigma_x_problem(observables=[]), 1, id="observables-array"),
     pytest.param(REPORT, sigma_x_problem(observables={"a": as_matrix([[np.nan, 1], [1, 0]])}),
                  2, id="nan-observable"),
-    pytest.param(["distances", *REPORT[1:]],
+    pytest.param(DISTANCES,
                  sigma_x_problem(observables={"a": as_matrix([[np.inf, 1], [1, 0]])}),
                  2, id="infinite-observable"),
+    pytest.param([*DISTANCES, "--metric-scale", "nan"], sigma_x_problem(), 2, id="metric-scale-nan"),
+    pytest.param([*DISTANCES, "--metric-scale", "inf"], sigma_x_problem(), 2, id="metric-scale-inf"),
+    pytest.param([*REPORT, "--tol", "nan"], sigma_x_problem(state=as_pairs([3, 0])), 2, id="tol-nan"),
+    pytest.param([*EVOLVE, "--t-max", "nan"], sigma_x_problem(), 2, id="t-max-nan"),
+    pytest.param(REPORT, sigma_x_problem("dim"), 1, id="dim-missing"),
+    pytest.param(REPORT, sigma_x_problem("state"), 1, id="state-missing"),
+    pytest.param(REPORT, sigma_x_problem(grid={"length": 40.0}), 1, id="grid-n-missing"),
+    pytest.param(REPORT, sigma_x_problem(grid={"n": 16}), 1, id="grid-length-missing"),
+    pytest.param(REPORT, b'{"dim": 1e400, "state": [[1, 0], [0, 0]]}', 1, id="dim-overflows"),
+    pytest.param(REPORT, b'{"dim": 2, "state": [[1, 0], [0, 0]], "grid": {"n": 1e400, "length": 40}}',
+                 1, id="grid-n-overflows"),
+    pytest.param(REPORT, b'{"dim": 2, "state": [[1, 0], [0, 0]], "grid": {"n": 16, "length": 1e400}}',
+                 1, id="grid-length-overflows"),
+    pytest.param(REPORT, b'{"dim": 2, "state": [[1, 0], [0, 0]], "observables": {"\xe9": []}}',
+                 1, id="not-utf-8"),
+    pytest.param(REPORT, b'{"dim": 1%s, "state": [[1, 0], [0, 0]]}' % (b"0" * 5000), 1,
+                 id="integer-too-long"),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv,problem,code", EXIT_CODE_TABLE)
 def test_exit_code_table(tmp_path, capsys, argv, problem, code):
-    """Each malformed call exits with its documented code and no traceback."""
+    """Each malformed call exits with its documented code, no warning and no traceback.
+
+    Past argument parsing, stderr is the one line `error: <message>`.
+    """
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem))
+    path.write_bytes(problem if isinstance(problem, bytes) else json.dumps(problem).encode())
     try:
         rc = main([str(path) if arg == "{input}" else arg for arg in argv])
+        usage_error = False
     except SystemExit as exc:
-        rc = exc.code
+        rc, usage_error = exc.code, True
     assert rc == code
     err = capsys.readouterr().err
     assert err
     assert "Traceback" not in err
+    if not usage_error:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def grid16_problem() -> dict:
+    g = Grid(16, 40.0)
+    return {"dim": 16, "state": as_pairs(gaussian(g, 0.0, 0.0, 2.0).amplitudes),
+            "observables": {"a": as_matrix(np.diag(np.arange(16.0)))},
+            "grid": {"n": 16, "length": 40.0, "hbar": 1.0}}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+COMMANDS = [
+    ["report", "--pair", "x", "p"],
+    ["distances", "--pair", "x", "a"],
+    ["evolve", "--generator", "p", "--t-max", "1", "--steps", "3"],
+]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    field=st.sampled_from(["dim", "state", "observables", "grid", "grid.n", "grid.length",
+                           "grid.hbar"]),
+    value=JSON_VALUES,
+    command=st.sampled_from(COMMANDS),
+)
+def test_any_field_value_exits_with_a_documented_code(tmp_path, capsys, field, value, command):
+    """One field of a valid file replaced by any JSON value: a table exit code, never a raise."""
+    problem = grid16_problem()
+    if field.startswith("grid."):
+        problem["grid"][field[5:]] = value
+    else:
+        problem[field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    rc = main([command[0], "--input", str(path), *command[1:]])
+    assert rc in (0, 1, 2, 3)
+    err = capsys.readouterr().err
+    assert (rc == 0) == (err == "")
 
 
 def test_golden_stdout(tmp_path, capsys):
