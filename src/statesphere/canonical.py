@@ -10,6 +10,7 @@ discretized Gaussians reproduce dx dp = hbar/2 to 1e-6 at n = 512.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,10 @@ class Grid:
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise InvalidParameter(f"n must be a power of two >= 16, got {self.n}")
-        if self.length <= 0:
-            raise InvalidParameter(f"length must be positive, got {self.length}")
-        if self.hbar <= 0:
-            raise InvalidParameter(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.length < math.inf:  # false for NaN
+            raise InvalidParameter(f"length must be positive and finite, got {self.length}")
+        if not 0 < self.hbar < math.inf:
+            raise InvalidParameter(f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def points(self) -> np.ndarray:

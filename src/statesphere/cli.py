@@ -52,12 +52,17 @@ def _required(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _number(convert, value, what: str):
+def _number(value, what: str, integer: bool = False):
+    """A finite JSON number, or a JSON integer where `integer`; true, false and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise MalformedInput(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if integer:
+        return value
     try:
-        number = convert(value)
-    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        number = math.nan
-    if not -math.inf < number < math.inf:  # false for NaN; ints of any size pass
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise MalformedInput(f"{what} must be a finite number, got {value!r}")
     return number
 
@@ -73,7 +78,7 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
         except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
             raise MalformedInput(str(exc)) from exc
     raw = _object(doc, "problem file")
-    dim = _number(int, _required(raw, "dim", "dim"), "dim")
+    dim = _number(_required(raw, "dim", "dim"), "dim", integer=True)
     state = _complex_array(_required(raw, "state", "state"), 1, "state")
     state = validate_state(state, tol=max(tol, 1e-10))
     if state.dim != dim:
@@ -87,9 +92,9 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
     if raw.get("grid") is not None:
         spec = _object(raw["grid"], "grid")
         grid = Grid(
-            _number(int, _required(spec, "n", "grid n"), "grid n"),
-            _number(float, _required(spec, "length", "grid length"), "grid length"),
-            _number(float, spec.get("hbar", 1.0), "grid hbar"),
+            _number(_required(spec, "n", "grid n"), "grid n", integer=True),
+            _number(_required(spec, "length", "grid length"), "grid length"),
+            _number(spec.get("hbar", 1.0), "grid hbar"),
         )
         if grid.n != dim:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")

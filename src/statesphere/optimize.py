@@ -1,11 +1,14 @@
 """Riemannian search for minimal-uncertainty states.
 
 Minimizes f(phi) = Var_A(phi) * Var_B(phi) over the sphere of states by
-projected gradient descent with Armijo backtracking and a normalize-after-
-step retraction.  The squared-product objective is smooth where the product
-of deviations is not, with the same minimizers.  The objective is phase and
-scale invariant, so the horizontal-projected gradient coincides with the
-Euclidean gradient of f(v/|v|).
+projected gradient descent with a normalize-after-step retraction.  Each
+Armijo search starts from the previous accepted step rather than from
+1/|g| (Nocedal & Wright, Numerical Optimization, sec. 3.5), which keeps
+Armijo's guarantee on the sphere (Absil, Mahony & Sepulchre 2008, sec. 4.2).
+The squared-product objective is smooth where the product of deviations is
+not, with the same minimizers.  The objective is phase and scale invariant,
+so the horizontal-projected gradient coincides with the Euclidean gradient
+of f(v/|v|).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateX, DimensionMismatch
+from .errors import DimensionMismatch
 from .hilbert import Observable, State, inner, normalize
 from .uncertainty import MinimalConditionResult, minimal_condition, std_dev
 
@@ -26,12 +29,16 @@ MAX_BACKTRACKS = 60
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of one descent run (or the best of several restarts)."""
+    """Outcome of one descent run (or the best of several restarts).
+
+    stop_reason is "gradient", "floor" or "iterations"; see minimize_product.
+    """
 
     state: State
     value: float
     iterations: int
     converged: bool
+    stop_reason: str
     certificate: MinimalConditionResult
     objective_trace: list
     seed: int | None = None
@@ -42,6 +49,7 @@ class OptimizeResult:
             "value": self.value,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "certificate": self.certificate.to_dict(),
             "objective_trace": list(self.objective_trace),
         }
@@ -95,12 +103,20 @@ def minimize_product(
     max_iter: int = 500,
     grad_tol: float = 1e-8,
 ) -> OptimizeResult:
-    """Projected gradient descent from phi0 with monotone backtracking.
+    """Projected gradient descent from phi0 with a warm-started Armijo search.
 
-    Stops when the tangent gradient norm falls below grad_tol times the
-    matrix scale, when the line search can no longer decrease the objective
-    (floating-point floor), or at max_iter.  Only the gradient criterion
-    sets converged=True.
+    Each search starts at the last accepted step, capped at the cold start
+    1/|g| (where the first one starts), then halves until a trial passes,
+    or doubles while the doubled step still passes, up to 1/|g|.  A trial
+    passes when it lowers the objective strictly and by the Armijo margin.
+    When no halving of a warm start passes, the search runs once more from
+    1/|g|, the start of a cold search.
+
+    stop_reason says why the run ended: "gradient" when the tangent gradient
+    norm falls below grad_tol times the matrix scale, "floor" when no halving
+    of the cold start lowers the objective any more, "iterations" at
+    max_iter.  converged is true on the gradient test, or on the floor with a
+    minimal certificate.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -108,51 +124,81 @@ def minimize_product(
     phi = phi0
     f = objective(A, B, phi.amplitudes)
     trace = [f]
-    converged = False
+    stop_reason = "iterations"
+    step = np.inf
     it = 0
     while it < max_iter:
         g = riemannian_grad(A, B, phi)
         gn = float(np.linalg.norm(g))
         if gn <= grad_tol * scale:
-            converged = True
+            stop_reason = "gradient"
             break
         it += 1
-        step = 1.0 / gn
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = normalize(phi.amplitudes - step * g)
-            fc = objective(A, B, cand.amplitudes)
-            if fc <= f - ARMIJO_C * step * gn * gn:
-                phi, f = cand, fc
-                trace.append(f)
-                accepted = True
+        cold = 1.0 / gn
+        found = _backtrack(A, B, phi.amplitudes, g, f, gn, min(step, cold))
+        if found is None and step < cold:
+            # A warm start that has shrunk into rounding noise proves no floor.
+            found = _backtrack(A, B, phi.amplitudes, g, f, gn, cold)
+        if found is None:
+            stop_reason = "floor"  # no further decrease representable
+            break
+        accepted, step, halvings = found
+        while halvings == 0 and step < cold:
+            longer = min(2.0 * step, cold)
+            expanded = _armijo_trial(A, B, phi.amplitudes, g, f, gn, longer)
+            if expanded is None:
                 break
-            step *= SHRINK
-        if not accepted:
-            break  # no further decrease representable
+            accepted, step = expanded, longer
+        phi, f = State(accepted[0]), accepted[1]
+        trace.append(f)
+    certificate = _certificate(A, B, phi)
     return OptimizeResult(
         state=phi,
         value=f,
         iterations=it,
-        converged=converged,
-        certificate=_certificate(A, B, phi),
+        converged=stop_reason == "gradient"
+        or (stop_reason == "floor" and certificate.is_minimal),
+        stop_reason=stop_reason,
+        certificate=certificate,
         objective_trace=trace,
     )
+
+
+def _backtrack(A, B, v, g, f, gn, step):
+    """Halve step until a trial passes: (trial, step, halvings), or None after MAX_BACKTRACKS."""
+    for halvings in range(MAX_BACKTRACKS):
+        accepted = _armijo_trial(A, B, v, g, f, gn, step)
+        if accepted is not None:
+            return accepted, step, halvings
+        step *= SHRINK
+    return None
+
+
+def _armijo_trial(A, B, v, g, f, gn, step):
+    """The retracted trial (v - step g)/|v - step g| and its objective if it passes.
+
+    A trial passes when it lowers f strictly and by at least the Armijo
+    margin ARMIJO_C * step * |g|^2; otherwise the result is None.
+    """
+    w = v - step * g
+    w = w / np.linalg.norm(w)
+    fc = objective(A, B, w)
+    if fc < f and fc <= f - ARMIJO_C * step * gn * gn:
+        return w, fc
+    return None
 
 
 def _certificate(A, B, phi) -> MinimalConditionResult:
     """Minimality certificate, with the eigenstate edge case handled.
 
-    When either centered tangent field vanishes (phi is an eigenstate), the
-    product of deviations is exactly zero and the ratio fit is undefined;
-    that is a global minimum, reported as a trivially minimal certificate.
+    When either standard deviation vanishes (phi is an eigenstate of A or
+    of B), the product of deviations is zero and the ratio fit of Y on X is
+    undefined or dominated by rounding; that is a global minimum, reported
+    as a trivially minimal certificate.
     """
-    try:
-        return minimal_condition(A, B, phi, CERT_TOL)
-    except DegenerateX:
-        if min(std_dev(A, phi), std_dev(B, phi)) <= CERT_TOL * max(A.scale, B.scale):
-            return MinimalConditionResult(0j, 0.0, True)
-        return MinimalConditionResult(0j, np.inf, False)
+    if min(std_dev(A, phi), std_dev(B, phi)) <= CERT_TOL * max(A.scale, B.scale):
+        return MinimalConditionResult(0j, 0.0, True)
+    return minimal_condition(A, B, phi, CERT_TOL)
 
 
 def minimize_multistart(

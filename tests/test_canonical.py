@@ -39,6 +39,13 @@ class TestGrid:
         with pytest.raises(InvalidParameter):
             Grid(16, 10.0, hbar=0.0)
 
+    @pytest.mark.parametrize("length,hbar", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (10.0, float("nan")), (10.0, float("inf")),
+    ])
+    def test_rejects_non_finite_scalars(self, length, hbar):
+        with pytest.raises(InvalidParameter):
+            Grid(16, length, hbar)
+
 
 class TestPositionOp:
     def test_diagonal_entries(self):

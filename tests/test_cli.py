@@ -264,6 +264,9 @@ EXIT_CODE_TABLE = [
     pytest.param(REPORT, sigma_x_problem(state=[[1, 0, 0], [0, 0, 0]]), 1, id="pair-of-three"),
     pytest.param(REPORT, sigma_x_problem(state=[["1", 0], [0, 0]]), 1, id="string-entry"),
     pytest.param(REPORT, sigma_x_problem(dim=None), 1, id="dim-null"),
+    pytest.param(REPORT, sigma_x_problem(dim="2"), 1, id="dim-string"),
+    pytest.param(REPORT, sigma_x_problem(dim=2.7), 1, id="dim-fraction"),
+    pytest.param(REPORT, sigma_x_problem(dim=True), 1, id="dim-true"),
     pytest.param(REPORT, sigma_x_problem(observables=[]), 1, id="observables-array"),
     pytest.param(REPORT, sigma_x_problem(observables={"a": as_matrix([[np.nan, 1], [1, 0]])}),
                  2, id="nan-observable"),

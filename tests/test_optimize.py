@@ -10,10 +10,12 @@ from statesphere import (
     momentum_op,
     normalize,
     objective,
+    optimize,
     position_op,
     relations_report,
     riemannian_grad,
     spectral,
+    std_dev,
     validate_state,
 )
 
@@ -119,6 +121,60 @@ class TestMinimizeProduct:
         assert res.value == pytest.approx(
             rep.delta_a**2 * rep.delta_b**2, abs=1e-10
         )
+
+    def test_stop_reason(self, sx, sy):
+        rng = np.random.default_rng(4)
+        start = random_state(rng, 2)
+        cut = minimize_product(sx, sy, start, max_iter=1)
+        assert (cut.stop_reason, cut.converged) == ("iterations", False)
+        done = minimize_product(sx, sy, start)
+        assert done.stop_reason in ("gradient", "floor") and done.converged
+        assert list(done.to_dict())[3:5] == ["converged", "stop_reason"]
+
+    def test_line_search_cost(self, monkeypatch):
+        # The warm-started search averages about 3 objective evaluations per
+        # iteration here; a search that starts every iteration at 1/|g| takes 14.
+        g = Grid(64, 40.0)
+        calls, runs = [0], []
+        objective_, descend = optimize.objective, optimize.minimize_product
+
+        def counted(*args):
+            calls[0] += 1
+            return objective_(*args)
+
+        def recorded(*args):
+            runs.append(descend(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(optimize, "objective", counted)
+        monkeypatch.setattr(optimize, "minimize_product", recorded)
+        x, p = position_op(g), momentum_op(g)
+        minimize_multistart(x, p, restarts=8, seed=1)
+        assert len(runs) == 8
+        assert calls[0] <= 4 * sum(res.iterations for res in runs)
+        for res in runs:
+            assert np.all(np.diff(res.objective_trace) < 0)
+            if res.stop_reason == "floor":
+                # the floor holds from the cold start 1/|g| too, not only
+                # from a warm start that has shrunk into rounding noise
+                grad = riemannian_grad(x, p, res.state)
+                gn = float(np.linalg.norm(grad))
+                assert optimize._backtrack(x, p, res.state.amplitudes, grad, res.value, gn, 1 / gn) is None
+        # Restarts that stop on the floating-point floor with a minimal
+        # certificate count as converged, like those that pass the gradient test.
+        assert {res.stop_reason for res in runs} == {"gradient", "floor"}
+        assert all(res.converged and res.certificate.is_minimal for res in runs)
+
+    def test_certificate_at_eigenstate_of_b(self, sx, sz):
+        # Within 1e-7 of the sz eigenstate |0>, far from both sx eigenstates:
+        # dB = 2e-7 is below CERT_TOL while |X| is near 1.  The fit of Y on X
+        # gives a real lambda of order dB, so the ratio test alone would call
+        # this global minimum not minimal.
+        phi = normalize([1, 1e-7])
+        assert std_dev(sx, phi) > 0.5
+        cert = optimize._certificate(sx, sz, phi)
+        assert cert.is_minimal
+        assert cert.residual == 0.0
 
     def test_invalid_max_iter(self, sx, sy):
         with pytest.raises(ValueError):
