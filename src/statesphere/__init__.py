@@ -19,7 +19,6 @@ from .hilbert import (
     Observable,
     SpectralDecomposition,
     State,
-    brackets,
     centered,
     expectation,
     inner,

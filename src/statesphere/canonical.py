@@ -75,12 +75,13 @@ def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:
 
 
 def commutator_residual(g: Grid, phi: State) -> float:
-    """Norm of ([x, p] - i hbar I) phi.
+    """Norm of ([x, p] - i hbar I) phi, from x(p phi) - p(x phi) - i hbar phi.
 
     Small only for states concentrated away from the boundary in both
     position and momentum; order hbar n / L for boundary-supported states.
     """
-    x = position_op(g).matrix
+    x = g.points
     p = momentum_op(g).matrix
-    c = x @ p - p @ x - 1j * g.hbar * np.eye(g.n)
-    return float(np.linalg.norm(c @ phi.amplitudes))
+    v = phi.amplitudes
+    c = x * (p @ v) - p @ (x * v) - 1j * g.hbar * v
+    return float(np.linalg.norm(c))

@@ -28,6 +28,9 @@ from .errors import (
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-12
 DEGENERACY_GAP = 1e-8
+# Rows per block of the Hermiticity check: a block and the transposed
+# columns it is compared with stay in cache together.
+HERMITIAN_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,7 @@ class Observable:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
         _require_finite(self.scale, "observable")
-        resid = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        resid = _hermitian_residual(m)
         if resid > HERMITIAN_TOL * self.scale:
             raise NotHermitian(
                 f"matrix is not hermitian: residual {resid:.3e} exceeds tolerance"
@@ -120,6 +123,15 @@ class SpectralDecomposition:
         """
         values, starts = self.clusters()
         return list(zip(values.tolist(), np.split(self.eigenvectors, starts[1:], axis=1)))
+
+
+def _hermitian_residual(m: np.ndarray) -> float:
+    """max |m - m^dagger| over all entries, one block of rows at a time."""
+    resid = 0.0
+    for i in range(0, m.shape[0], HERMITIAN_BLOCK_ROWS):
+        rows = slice(i, i + HERMITIAN_BLOCK_ROWS)
+        resid = max(resid, float(np.abs(m[rows] - m[:, rows].conj().T).max()))
+    return resid
 
 
 def _require_finite(magnitude: float, what: str) -> None:
@@ -184,20 +196,9 @@ def expectation(A: Observable, phi: State) -> float:
 def centered(A: Observable, phi: State) -> Observable:
     """A minus its mean in phi times the identity; zero mean by construction."""
     mean = expectation(A, phi)
-    return Observable(A.matrix - mean * np.eye(A.dim))
-
-
-def brackets(A: Observable, B: Observable):
-    """Commutator and anticommutator (AB - BA, AB + BA) as raw matrices.
-
-    The commutator is anti-Hermitian, the anticommutator Hermitian.  The
-    commutator is unchanged by centering either operator.
-    """
-    if A.dim != B.dim:
-        raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
-    ab = A.matrix @ B.matrix
-    ba = B.matrix @ A.matrix
-    return ab - ba, ab + ba
+    m = A.matrix.copy()
+    m.flat[:: A.dim + 1] -= mean
+    return Observable(m)
 
 
 def spectral(A: Observable) -> SpectralDecomposition:

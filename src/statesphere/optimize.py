@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .hilbert import Observable, State, inner, normalize
-from .uncertainty import MinimalConditionResult, minimal_condition, std_dev
+from .uncertainty import MinimalConditionResult, minimal_fit, tangent_field
 
 ARMIJO_C = 1e-4
 CERT_TOL = 1e-5
@@ -194,11 +194,15 @@ def _certificate(A, B, phi) -> MinimalConditionResult:
     When either standard deviation vanishes (phi is an eigenstate of A or
     of B), the product of deviations is zero and the ratio fit of Y on X is
     undefined or dominated by rounding; that is a global minimum, reported
-    as a trivially minimal certificate.
+    as a trivially minimal certificate.  Each centered field is built once:
+    its norm is the standard deviation, and the fit reuses it.
     """
-    if min(std_dev(A, phi), std_dev(B, phi)) <= CERT_TOL * max(A.scale, B.scale):
+    X = tangent_field(A, phi, True).vec
+    Y = tangent_field(B, phi, True).vec
+    scale = max(A.scale, B.scale)
+    if min(np.linalg.norm(X), np.linalg.norm(Y)) <= CERT_TOL * scale:
         return MinimalConditionResult(0j, 0.0, True)
-    return minimal_condition(A, B, phi, CERT_TOL)
+    return minimal_fit(X, Y, scale, CERT_TOL)
 
 
 def minimize_multistart(

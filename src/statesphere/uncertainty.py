@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DegenerateX, DimensionMismatch, GeometryError
-from .hilbert import Observable, State, brackets, centered, inner
+from .hilbert import Observable, State, centered, inner
 from .realify import metric_g, parallelogram_area, symplectic
 
 @dataclass(frozen=True)
@@ -104,22 +104,27 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     a_c = centered(A, phi)
     b_c = centered(B, phi)
-    X = -1j * (a_c.matrix @ phi.amplitudes)
-    Y = -1j * (b_c.matrix @ phi.amplitudes)
+    v = a_c.matrix @ phi.amplitudes
+    w = b_c.matrix @ phi.amplitudes
+    X = -1j * v
+    Y = -1j * w
     da = float(np.linalg.norm(X))
     db = float(np.linalg.norm(Y))
     g = metric_g(X, Y)
     area = parallelogram_area(X, Y)
 
-    comm, anti = brackets(a_c, b_c)
+    # <[A,B]> and <{A,B}> of the centred pair from the second products
+    # A_c(B_c phi) and B_c(A_c phi): no n x n product is formed.
+    ab = a_c.matrix @ w
+    ba = b_c.matrix @ v
     scale = max(A.scale, B.scale)
-    comm_half = 0.5 * abs(inner(comm @ phi.amplitudes, phi.amplitudes))
+    comm_half = 0.5 * abs(inner(ab - ba, phi.amplitudes))
     comm_half_symp = abs(symplectic(X, Y))
     if abs(comm_half - comm_half_symp) > 1e-10 * scale**2:
         raise GeometryError(
             "commutator term disagrees between spectral and symplectic routes"
         )
-    anti_half = 0.5 * abs(inner(anti @ phi.amplitudes, phi.amplitudes))
+    anti_half = 0.5 * abs(inner(ab + ba, phi.amplitudes))
 
     degenerate = da * db <= 1e-300
     theta = 0.0 if degenerate else math.atan2(area, g)
@@ -150,8 +155,16 @@ def minimal_condition(
     """
     X = tangent_field(A, phi, True).vec
     Y = tangent_field(B, phi, True).vec
+    return minimal_fit(X, Y, max(A.scale, B.scale), tol)
+
+
+def minimal_fit(X, Y, scale: float, tol: float) -> MinimalConditionResult:
+    """minimal_condition on centered tangent fields X, Y already built.
+
+    scale is the larger of the two observables' scales; |X| at or below
+    tol * scale raises DegenerateX.
+    """
     nx = float(np.linalg.norm(X))
-    scale = max(A.scale, B.scale)
     if nx <= tol * scale:
         raise DegenerateX(f"|X| = {nx:.3e} too small to fit Y = lambda X")
     lam = inner(Y, X) / (nx * nx)

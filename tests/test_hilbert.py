@@ -9,7 +9,6 @@ from statesphere import (
     Observable,
     State,
     ZeroVector,
-    brackets,
     centered,
     expectation,
     inner,
@@ -21,6 +20,7 @@ from statesphere import (
 )
 
 from conftest import random_hermitian, random_state, random_unitary
+from oracle import brackets
 
 
 class TestValidateState:

@@ -5,6 +5,7 @@ from statesphere import (
     Grid,
     gaussian,
     fs_distance,
+    minimal_condition,
     minimize_multistart,
     minimize_product,
     momentum_op,
@@ -16,6 +17,7 @@ from statesphere import (
     riemannian_grad,
     spectral,
     std_dev,
+    uncertainty,
     validate_state,
 )
 
@@ -175,6 +177,21 @@ class TestMinimizeProduct:
         cert = optimize._certificate(sx, sz, phi)
         assert cert.is_minimal
         assert cert.residual == 0.0
+
+    def test_certificate_builds_each_centered_field_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+        phi = random_state(rng, 6)
+        expected = minimal_condition(a, b, phi, optimize.CERT_TOL)
+        calls, centered_ = [0], uncertainty.centered
+
+        def counted(*args):
+            calls[0] += 1
+            return centered_(*args)
+
+        monkeypatch.setattr(uncertainty, "centered", counted)
+        assert optimize._certificate(a, b, phi) == expected
+        assert calls[0] == 2
 
     def test_invalid_max_iter(self, sx, sy):
         with pytest.raises(ValueError):

@@ -1,25 +1,33 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from statesphere import (
     DegenerateX,
+    GeometryError,
+    Grid,
     Observable,
-    brackets,
     centered,
+    gaussian,
     inner,
     metric_g,
     minimal_condition,
+    momentum_op,
     normalize,
     parallelogram_area,
+    position_op,
     realize,
     relations_report,
     std_dev,
     symplectic,
     tangent_field,
+    uncertainty,
     validate_state,
 )
 
 from conftest import random_hermitian, random_state, random_unitary
+from oracle import brackets
 
 
 class TestTangentField:
@@ -113,6 +121,48 @@ class TestRelationsReport:
             "schrodinger_slack",
             "area_bound_slack",
         ]
+
+
+class TestBracketTerms:
+    """relations_report takes the brackets from matrix-vector products."""
+
+    def test_matches_dense_brackets(self):
+        rng = np.random.default_rng(12)
+        for i in range(100):
+            n = (2, 3, 4, 8, 16)[i % 5]
+            a = Observable(10.0 ** rng.uniform(-2, 2) * random_hermitian(rng, n).matrix)
+            b = Observable(10.0 ** rng.uniform(-2, 2) * random_hermitian(rng, n).matrix)
+            phi = random_state(rng, n)
+            rep = relations_report(a, b, phi)
+            comm, anti = brackets(centered(a, phi), centered(b, phi))
+            tol = 1e-12 * max(a.scale, b.scale) ** 2
+            v = phi.amplitudes
+            assert rep.commutator_half == pytest.approx(0.5 * abs(inner(comm @ v, v)), abs=tol)
+            assert rep.anticommutator_half == pytest.approx(0.5 * abs(inner(anti @ v, v)), abs=tol)
+
+    def test_memory_stays_near_two_matrices(self):
+        # The centred copies of x and p are the only n x n arrays the report
+        # holds; forming A_c B_c and B_c A_c would double that.
+        n = 512
+        g = Grid(n, 40.0)
+        x, p = position_op(g), momentum_op(g)
+        phi = gaussian(g, 0.0, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            relations_report(x, p, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 16
+
+    def test_commutator_cross_check_fires(self, monkeypatch, sx, sy):
+        phi = normalize([1, 0.3 + 0.2j])
+        relations_report(sx, sy, phi)
+        monkeypatch.setattr(
+            uncertainty, "symplectic", lambda xi, eta: symplectic(xi, eta) + 1e-6
+        )
+        with pytest.raises(GeometryError, match="commutator term disagrees"):
+            relations_report(sx, sy, phi)
 
 
 class TestReportInvariants:
