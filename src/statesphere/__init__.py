@@ -2,7 +2,6 @@
 
 from .canonical import Grid, commutator_residual, gaussian, momentum_op, position_op
 from .errors import (
-    DegenerateX,
     DimensionMismatch,
     DimensionTooSmall,
     GeometryError,
@@ -45,7 +44,6 @@ from .projective import (
 )
 from .realify import (
     AdaptedCoordinates,
-    RealizedVector,
     adapted_basis,
     metric_g,
     parallelogram_area,
@@ -54,12 +52,11 @@ from .realify import (
 )
 from .uncertainty import (
     MinimalConditionResult,
-    TangentVector,
     UncertaintyReport,
+    centered_field,
     minimal_condition,
     relations_report,
     std_dev,
-    tangent_field,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .hilbert import Observable, State, validate_state
 from .optimize import minimize_multistart
 from .projective import triangle_report
 from .realify import metric_g, parallelogram_area, symplectic
-from .uncertainty import relations_report, tangent_field
+from .uncertainty import centered_field, relations_report
 
 
 def _complex_array(value, depth: int, what: str) -> np.ndarray:
@@ -70,7 +70,8 @@ def _number(value, what: str, integer: bool = False):
 def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
     """Parse and validate a problem file into its state and named observables.
 
-    Grid problems gain the observables 'x' and 'p'.
+    Grid problems gain the observables 'x' and 'p', each built only when
+    the file does not define that name itself.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -98,8 +99,9 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
         )
         if grid.n != dim:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")
-        observables.setdefault("x", position_op(grid))
-        observables.setdefault("p", momentum_op(grid))
+        for name, build in (("x", position_op), ("p", momentum_op)):
+            if name not in observables:
+                observables[name] = build(grid)
     return state, observables
 
 
@@ -186,8 +188,8 @@ def cmd_selftest(args) -> int:
             rng.standard_normal(n) + 1j * rng.standard_normal(n), tol=np.inf
         )
         rep = relations_report(a, b, phi)
-        x = tangent_field(a, phi, True).vec
-        y = tangent_field(b, phi, True).vec
+        x = centered_field(a, phi)
+        y = centered_field(b, phi)
         ok = (
             abs(rep.identity_residual) <= 1e-10
             and rep.robertson_slack >= -1e-10

@@ -33,10 +33,6 @@ class NotHermitian(GeometryError):
     """Matrix fails the Hermiticity check."""
 
 
-class DegenerateX(GeometryError):
-    """The reference tangent field vanishes; least-squares ratio undefined."""
-
-
 class SupportViolation(GeometryError):
     """Wavepacket support too close to the periodic box boundary."""
 

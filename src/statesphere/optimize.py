@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .hilbert import Observable, State, inner, normalize
-from .uncertainty import MinimalConditionResult, minimal_fit, tangent_field
+from .hilbert import Observable, State, normalize
+from .projective import horizontal
+from .uncertainty import MinimalConditionResult, minimal_condition
 
 ARMIJO_C = 1e-4
-CERT_TOL = 1e-5
 SHRINK = 0.5
 MAX_BACKTRACKS = 60
 
@@ -88,12 +88,10 @@ def riemannian_grad(A: Observable, B: Observable, phi: State) -> np.ndarray:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     if A.dim != phi.dim:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
-    v = phi.amplitudes
-    va, vb, av, bv, ma, mb = _variances(A, B, v)
+    va, vb, av, bv, ma, mb = _variances(A, B, phi.amplitudes)
     grad_va = 2.0 * (A.matrix @ av) - 4.0 * ma * av
     grad_vb = 2.0 * (B.matrix @ bv) - 4.0 * mb * bv
-    g = vb * grad_va + va * grad_vb
-    return g - inner(g, v) * v
+    return horizontal(vb * grad_va + va * grad_vb, phi)
 
 
 def minimize_product(
@@ -115,8 +113,8 @@ def minimize_product(
     stop_reason says why the run ended: "gradient" when the tangent gradient
     norm falls below grad_tol times the matrix scale, "floor" when no halving
     of the cold start lowers the objective any more, "iterations" at
-    max_iter.  converged is true on the gradient test, or on the floor with a
-    minimal certificate.
+    max_iter.  converged is true when the run stopped on the gradient test or
+    on the floor and minimal_condition certifies the final state.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -151,13 +149,12 @@ def minimize_product(
             accepted, step = expanded, longer
         phi, f = State(accepted[0]), accepted[1]
         trace.append(f)
-    certificate = _certificate(A, B, phi)
+    certificate = minimal_condition(A, B, phi)
     return OptimizeResult(
         state=phi,
         value=f,
         iterations=it,
-        converged=stop_reason == "gradient"
-        or (stop_reason == "floor" and certificate.is_minimal),
+        converged=stop_reason != "iterations" and certificate.is_minimal,
         stop_reason=stop_reason,
         certificate=certificate,
         objective_trace=trace,
@@ -186,23 +183,6 @@ def _armijo_trial(A, B, v, g, f, gn, step):
     if fc < f and fc <= f - ARMIJO_C * step * gn * gn:
         return w, fc
     return None
-
-
-def _certificate(A, B, phi) -> MinimalConditionResult:
-    """Minimality certificate, with the eigenstate edge case handled.
-
-    When either standard deviation vanishes (phi is an eigenstate of A or
-    of B), the product of deviations is zero and the ratio fit of Y on X is
-    undefined or dominated by rounding; that is a global minimum, reported
-    as a trivially minimal certificate.  Each centered field is built once:
-    its norm is the standard deviation, and the fit reuses it.
-    """
-    X = tangent_field(A, phi, True).vec
-    Y = tangent_field(B, phi, True).vec
-    scale = max(A.scale, B.scale)
-    if min(np.linalg.norm(X), np.linalg.norm(Y)) <= CERT_TOL * scale:
-        return MinimalConditionResult(0j, 0.0, True)
-    return minimal_fit(X, Y, scale, CERT_TOL)
 
 
 def minimize_multistart(

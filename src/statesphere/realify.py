@@ -17,13 +17,6 @@ from .errors import DimensionMismatch, ZeroVector
 from .hilbert import inner
 
 @dataclass(frozen=True)
-class RealizedVector:
-    """Interleaved Re/Im coordinates; the map is an isometry."""
-
-    coords: np.ndarray
-
-
-@dataclass(frozen=True)
 class AdaptedCoordinates:
     """Coordinates of X, Y in the adapted orthonormal basis.
 
@@ -37,12 +30,13 @@ class AdaptedCoordinates:
     y: np.ndarray
 
 
-def realize(xi) -> RealizedVector:
+def realize(xi) -> np.ndarray:
+    """Interleaved Re/Im coordinates; the map is an isometry."""
     xi = np.asarray(xi, dtype=complex).ravel()
     out = np.empty(2 * xi.size)
     out[0::2] = xi.real
     out[1::2] = xi.imag
-    return RealizedVector(out)
+    return out
 
 
 def metric_g(xi, eta) -> float:

@@ -15,20 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateX, DimensionMismatch, GeometryError
+from .errors import DimensionMismatch, GeometryError
 from .hilbert import Observable, State, centered, inner
 from .realify import metric_g, parallelogram_area, symplectic
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Complex vector attached at a state.
-
-    Centered fields are horizontal: orthogonal to the whole phase fibre
-    through the state, i.e. inner(vec, phi) = 0 in both parts.
-    """
-
-    at: State
-    vec: np.ndarray
+# Relative tolerance of the minimality certificate, and the deviation, in
+# units of the matrix scale, below which a state counts as an eigenstate.
+CERT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -46,13 +39,9 @@ class UncertaintyReport:
     robertson_slack: float
     schrodinger_slack: float
     area_bound_slack: float
-    degenerate: bool = False
 
     def to_dict(self) -> dict:
-        """The printed fields in declaration order; `degenerate` is not printed."""
-        fields = asdict(self)
-        del fields["degenerate"]
-        return fields
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -76,12 +65,15 @@ class MinimalConditionResult:
         }
 
 
-def tangent_field(A: Observable, phi: State, center: bool) -> TangentVector:
-    """The field -i A phi, optionally with the mean of A subtracted first."""
+def centered_field(A: Observable, phi: State) -> np.ndarray:
+    """The centered tangent field -i(A - <A>)phi.
+
+    It is horizontal: orthogonal to the whole phase fibre through phi, i.e.
+    inner(field, phi) = 0 in both parts.
+    """
     if A.dim != phi.dim:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
-    op = centered(A, phi) if center else A
-    return TangentVector(phi, -1j * (op.matrix @ phi.amplitudes))
+    return -1j * (centered(A, phi).matrix @ phi.amplitudes)
 
 
 def std_dev(A: Observable, phi: State) -> float:
@@ -90,7 +82,7 @@ def std_dev(A: Observable, phi: State) -> float:
     Equals sqrt(<A^2> - <A>^2) and the projective-space speed of the flow
     generated by A; vanishes exactly at eigenstates.
     """
-    return float(np.linalg.norm(tangent_field(A, phi, True).vec))
+    return float(np.linalg.norm(centered_field(A, phi)))
 
 
 def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyReport:
@@ -98,7 +90,7 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
 
     theta = atan2(area, metric_term) in [0, pi] splits the product of
     deviations into the area (sin) and metric (cos) parts; when the product
-    degenerates to zero, theta is reported as 0 and the report is flagged.
+    degenerates to zero, theta is reported as 0.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
@@ -126,8 +118,7 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
         )
     anti_half = 0.5 * abs(inner(ab + ba, phi.amplitudes))
 
-    degenerate = da * db <= 1e-300
-    theta = 0.0 if degenerate else math.atan2(area, g)
+    theta = 0.0 if da * db <= 1e-300 else math.atan2(area, g)
     return UncertaintyReport(
         delta_a=da,
         delta_b=db,
@@ -140,41 +131,28 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
         robertson_slack=da * db - comm_half,
         schrodinger_slack=da * da * db * db - comm_half**2 - anti_half**2,
         area_bound_slack=area - comm_half,
-        degenerate=degenerate,
     )
 
 
-def minimal_condition(
-    A: Observable, B: Observable, phi: State, tol: float = 1e-6
-) -> MinimalConditionResult:
-    """Test the minimal-uncertainty condition Y = lambda X with imaginary lambda.
+def minimal_condition(A: Observable, B: Observable, phi: State) -> MinimalConditionResult:
+    """Certify the minimal-uncertainty condition Y = lambda X with imaginary lambda.
 
-    lambda is the least-squares coefficient of Y on X (both centered tangent
-    fields); the residual is relative to |Y|.  A state is flagged minimal
-    when the fit is tight and lambda is purely imaginary within tolerance.
+    X and Y are the centered tangent fields of A and B, each built once.
+    When either norm (a standard deviation) is at most CERT_TOL times the
+    larger matrix scale, phi is an eigenstate of A or of B: the product of
+    deviations vanishes, a global minimum, and the certificate is trivially
+    minimal.  Otherwise lambda is the least-squares coefficient of Y on X,
+    the residual |Y - lambda X| is relative to |Y|, and phi is minimal when
+    both the residual and the real part of lambda (relative to |lambda|)
+    are within CERT_TOL.
     """
-    X = tangent_field(A, phi, True).vec
-    Y = tangent_field(B, phi, True).vec
-    return minimal_fit(X, Y, max(A.scale, B.scale), tol)
-
-
-def minimal_fit(X, Y, scale: float, tol: float) -> MinimalConditionResult:
-    """minimal_condition on centered tangent fields X, Y already built.
-
-    scale is the larger of the two observables' scales; |X| at or below
-    tol * scale raises DegenerateX.
-    """
+    X = centered_field(A, phi)
+    Y = centered_field(B, phi)
     nx = float(np.linalg.norm(X))
-    if nx <= tol * scale:
-        raise DegenerateX(f"|X| = {nx:.3e} too small to fit Y = lambda X")
-    lam = inner(Y, X) / (nx * nx)
     ny = float(np.linalg.norm(Y))
-    residual = float(np.linalg.norm(Y - lam * X)) / max(ny, tol)
-    is_minimal = residual <= tol and (
-        lam == 0 or abs(lam.real) <= tol * abs(lam)
-    )
-    return MinimalConditionResult(
-        lam=complex(lam),
-        residual=residual,
-        is_minimal=bool(is_minimal),
-    )
+    if min(nx, ny) <= CERT_TOL * max(A.scale, B.scale):
+        return MinimalConditionResult(0j, 0.0, True)
+    lam = inner(Y, X) / (nx * nx)
+    residual = float(np.linalg.norm(Y - lam * X)) / ny
+    is_minimal = residual <= CERT_TOL and abs(lam.real) <= CERT_TOL * abs(lam)
+    return MinimalConditionResult(complex(lam), residual, bool(is_minimal))

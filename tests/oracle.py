@@ -1,4 +1,4 @@
-"""Reference computations for the tests: dense brackets and a 50-digit report.
+"""Reference computations for the tests: dense brackets and 50-digit printed fields.
 
 `brackets` forms the commutator and anticommutator as n x n matrices, the
 O(n^3) route that `relations_report` replaces with matrix-vector products.
@@ -9,6 +9,10 @@ a problem file: a dense observable from its entries (each one a double, so
 exact), and a grid's x from its points and its p from the DFT definition
 evaluated in mpmath, not from the float64 matrices the program builds.  The
 file's state is normalised in mpmath.
+
+`std_dev` and `minimize_fields` do the same for evolve's std_dev column and
+for the value and certificate that `statesphere minimize` prints, at a state
+read back from the printed output and normalised with `normalised`.
 """
 
 from __future__ import annotations
@@ -58,12 +62,18 @@ def _grid_operators(spec: dict):
     return {"x": x, "p": p}
 
 
+def normalised(pairs) -> list:
+    """The state of [re, im] pairs divided by its norm, to DIGITS."""
+    with mp.workdps(DIGITS):
+        state = [_complex(pair) for pair in pairs]
+        norm = mp.sqrt(mp.fsum(abs(z) ** 2 for z in state))
+        return [z / norm for z in state]
+
+
 def problem_operators(doc: dict):
     """The exact state (normalised) and named observables of a problem file."""
+    state = normalised(doc["state"])
     with mp.workdps(DIGITS):
-        state = [_complex(pair) for pair in doc["state"]]
-        norm = mp.sqrt(mp.fsum(abs(z) ** 2 for z in state))
-        state = [z / norm for z in state]
         grid = _grid_operators(doc["grid"]) if doc.get("grid") is not None else {}
     observables = {
         name: [[_complex(pair) for pair in row] for row in rows]
@@ -83,6 +93,48 @@ def _inner(xi, eta):
     return mp.fsum(a * mp.conj(b) for a, b in zip(xi, eta))
 
 
+def _centered(a, phi):
+    """A phi, <A> and (A - <A>) phi."""
+    a_phi = _apply(a, phi)
+    mean = _inner(a_phi, phi).real
+    return a_phi, mean, [z - mean * f for z, f in zip(a_phi, phi)]
+
+
+def _norm(v):
+    return mp.sqrt(_inner(v, v).real)
+
+
+def std_dev(a, phi):
+    """|(A - <A>) phi|, the deviation that evolve prints for each row."""
+    with mp.workdps(DIGITS):
+        return _norm(_centered(a, phi)[2])
+
+
+def minimize_fields(a, b, phi, eigenstate_below) -> dict:
+    """The value and certificate that `statesphere minimize` prints at phi.
+
+    value is dA^2 dB^2.  The certificate fits Y = lambda X for the centered
+    fields X = -i(A - <A>)phi and Y = -i(B - <B>)phi, with the residual
+    |Y - lambda X| / |Y|; when dA or dB is at most eigenstate_below, phi is
+    an eigenstate and lambda and the residual are 0.
+    """
+    with mp.workdps(DIGITS):
+        X = [-1j * z for z in _centered(a, phi)[2]]
+        Y = [-1j * z for z in _centered(b, phi)[2]]
+        da, db = _norm(X), _norm(Y)
+        if min(da, db) <= eigenstate_below:
+            lam, residual = mp.mpc(0), mp.mpf(0)
+        else:
+            lam = _inner(Y, X) / da**2
+            residual = _norm([y - lam * x for x, y in zip(X, Y)]) / db
+        return {
+            "value": da**2 * db**2,
+            "lambda_re": lam.real,
+            "lambda_im": lam.imag,
+            "residual": residual,
+        }
+
+
 def report_fields(a, b, phi) -> dict:
     """The printed fields of `statesphere report` for exact a, b, phi, by definition.
 
@@ -96,13 +148,10 @@ def report_fields(a, b, phi) -> dict:
 
 
 def _report_fields(a, b, phi) -> dict:
-    a_phi, b_phi = _apply(a, phi), _apply(b, phi)
-    mean_a, mean_b = _inner(a_phi, phi).real, _inner(b_phi, phi).real
-    v = [z - mean_a * f for z, f in zip(a_phi, phi)]
-    w = [z - mean_b * f for z, f in zip(b_phi, phi)]
+    a_phi, mean_a, v = _centered(a, phi)
+    b_phi, mean_b, w = _centered(b, phi)
     X, Y = [-1j * z for z in v], [-1j * z for z in w]
-    da = mp.sqrt(_inner(X, X).real)
-    db = mp.sqrt(_inner(Y, Y).real)
+    da, db = _norm(X), _norm(Y)
     g = _inner(X, Y).real
     area = mp.sqrt(da**2 * db**2 - g**2)
     ab, ba = _apply(a, b_phi), _apply(b, a_phi)

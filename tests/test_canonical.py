@@ -156,7 +156,7 @@ class TestCanonicalUncertainty:
         p = momentum_op(grid)
         x = position_op(grid)
         st = gaussian(grid, 0.0, 0.0, 1.0)
-        res = minimal_condition(p, x, st, tol=1e-5)
+        res = minimal_condition(p, x, st)
         assert res.residual <= 1e-5
         assert abs(res.re_lambda) <= 1e-6
         assert res.is_minimal

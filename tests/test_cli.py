@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from statesphere import Grid, gaussian
+from statesphere import Grid, cli, gaussian
 from statesphere.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -236,6 +236,24 @@ class TestSelftest:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(problem))
         assert main(["selftest", "--input", str(path)]) == 2
+
+
+def test_grid_file_defining_p_builds_no_momentum_op(grid_file, monkeypatch):
+    doc = json.loads(Path(grid_file).read_text())
+    own_p = np.diag(np.arange(64.0))
+    doc["observables"] = {"p": as_matrix(own_p)}
+    Path(grid_file).write_text(json.dumps(doc))
+    calls, momentum_op = [0], cli.momentum_op
+
+    def counted(grid):
+        calls[0] += 1
+        return momentum_op(grid)
+
+    monkeypatch.setattr(cli, "momentum_op", counted)
+    _, observables = cli.load_problem(grid_file)
+    assert calls[0] == 0
+    assert np.array_equal(observables["p"].matrix, own_p)
+    assert list(observables) == ["p", "x"]
 
 
 def sigma_x_problem(*missing, **fields):
