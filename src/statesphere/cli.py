@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -67,11 +68,31 @@ def _number(value, what: str, integer: bool = False):
     return number
 
 
-def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
+class _Observables(Mapping):
+    """A problem file's named observables; a grid's x and p are built on first lookup."""
+
+    def __init__(self, defined: dict, builders: dict):
+        self._built = defined
+        self._builders = {name: b for name, b in builders.items() if name not in defined}
+        self._names = [*defined, *self._builders]
+
+    def __getitem__(self, name: str) -> Observable:
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+def load_problem(path: str, tol: float = 1e-10) -> tuple[State, _Observables]:
     """Parse and validate a problem file into its state and named observables.
 
-    Grid problems gain the observables 'x' and 'p', each built only when
-    the file does not define that name itself.
+    Grid problems gain the observables 'x' and 'p' unless the file defines
+    that name itself.  Each is built when a command first looks it up.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -84,7 +105,7 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
     state = validate_state(state, tol=max(tol, 1e-10))
     if state.dim != dim:
         raise DimensionMismatch(f"state has dim {state.dim}, file says {dim}")
-    observables = {}
+    observables, builders = {}, {}
     for name, rows in _object(raw.get("observables", {}), "observables").items():
         obs = Observable(_complex_array(rows, 2, f"observable {name!r}"))
         if obs.dim != dim:
@@ -99,13 +120,11 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, dict]:
         )
         if grid.n != dim:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")
-        for name, build in (("x", position_op), ("p", momentum_op)):
-            if name not in observables:
-                observables[name] = build(grid)
-    return state, observables
+        builders = {"x": lambda: position_op(grid), "p": lambda: momentum_op(grid)}
+    return state, _Observables(observables, builders)
 
 
-def _resolve(observables: dict, name: str) -> Observable:
+def _resolve(observables: _Observables, name: str) -> Observable:
     if name not in observables:
         raise GeometryError(f"unknown observable {name!r}")
     return observables[name]
@@ -174,7 +193,8 @@ def cmd_selftest(args) -> int:
     if args.n_random < 0:
         raise InvalidParameter(f"n-random must be >= 0, got {args.n_random}")
     if args.input is not None:
-        load_problem(args.input, args.tol)
+        _, observables = load_problem(args.input, args.tol)
+        dict(observables)  # builds, and so validates, a grid's x and p
         print(f"selftest: problem file {args.input!r} validates")
         return 0
     rng = np.random.default_rng(args.seed)

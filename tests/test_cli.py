@@ -256,6 +256,39 @@ def test_grid_file_defining_p_builds_no_momentum_op(grid_file, monkeypatch):
     assert list(observables) == ["p", "x"]
 
 
+def count_builds(monkeypatch, name):
+    """Count calls of the grid operator builder cli.<name>."""
+    calls, build = [0], getattr(cli, name)
+
+    def counted(grid):
+        calls[0] += 1
+        return build(grid)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, unused", [
+    pytest.param(["report", "--pair", "x", "x"], "momentum_op", id="report-x-x"),
+    pytest.param(["distances", "--pair", "x", "x"], "momentum_op", id="distances-x-x"),
+    pytest.param(["evolve", "--generator", "p", "--t-max", "1", "--steps", "2"], "position_op",
+                 id="evolve-p"),
+    pytest.param(["minimize", "--pair", "p", "p", "--restarts", "1", "--max-iter", "1"], "position_op",
+                 id="minimize-p-p"),
+])
+def test_command_builds_only_the_operators_it_names(grid_file, monkeypatch, capsys, argv, unused):
+    unused_calls = count_builds(monkeypatch, unused)
+    used_calls = count_builds(monkeypatch, ({"momentum_op", "position_op"} - {unused}).pop())
+    assert cli.main([argv[0], "--input", grid_file, *argv[1:]]) == 0
+    assert (unused_calls[0], used_calls[0]) == (0, 1)
+
+
+def test_selftest_input_builds_both_grid_operators(grid_file, monkeypatch, capsys):
+    calls = [count_builds(monkeypatch, name) for name in ("position_op", "momentum_op")]
+    assert cli.main(["selftest", "--input", grid_file]) == 0
+    assert [c[0] for c in calls] == [1, 1]
+
+
 def sigma_x_problem(*missing, **fields):
     """A valid dim-2 problem with observable 'a', the given fields replaced or left out."""
     problem = {"dim": 2, "state": as_pairs([1, 0]),

@@ -1,8 +1,14 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import sequential_optimize
 from statesphere import (
+    DimensionMismatch,
     Grid,
+    Observable,
     gaussian,
     fs_distance,
     minimal_condition,
@@ -22,6 +28,49 @@ from statesphere import (
 )
 
 from conftest import random_hermitian, random_state
+
+
+def two_packet_start(g):
+    """A superposition of two wave packets on the n = 64 grid g."""
+    psi = np.zeros(g.n, dtype=complex)
+    for centre, sigma, k0, weight, phase in (
+        (-3.0840343921578315, 1.4551931865786556, -0.5342894938880451,
+         0.7322935313789465, 0.2569908773932812),
+        (7.346838112301143, 0.9884263580760617, -0.4345078141200651,
+         0.9264027652861015, 0.2604827353969633),
+    ):
+        envelope = -((g.points - centre) ** 2) / (4 * sigma**2)
+        psi += weight * np.exp(2j * np.pi * phase + envelope + 1j * k0 * g.points)
+    return normalize(psi)
+
+
+def gradient_stop_start(g):
+    """The workload-seed-3 minimize-xp start on the n = 64 grid g, built
+    and normalised as a problem file holds it."""
+    psi = np.zeros(g.n, dtype=complex)
+    for centre, sigma, k0, weight, phase in (
+        (-6.365394049445129, 1.0637379306561696, -0.30529448916750845,
+         0.5541322996318319, 0.5729824663658957),
+        (7.125013772196277, 1.300308235884153, -0.22139641033779678,
+         0.8306655202778821, 0.4022941440392247),
+    ):
+        envelope = -((g.points - centre) ** 2) / (4 * sigma**2)
+        psi += weight * np.exp(2j * np.pi * phase) * np.exp(envelope + 1j * k0 * g.points)
+    return normalize(psi / np.linalg.norm(psi))
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """Every restart's OptimizeResult, as the lockstep driver returns them."""
+    runs, minimize = [], optimize._minimize
+
+    def recorded(*args):
+        results = minimize(*args)
+        runs.extend(results)
+        return results
+
+    monkeypatch.setattr(optimize, "_minimize", recorded)
+    return runs
 
 
 def fd_gradient(a, b, v, step=1e-5):
@@ -69,6 +118,15 @@ class TestRiemannianGrad:
         from statesphere import inner
 
         assert abs(inner(g, phi.amplitudes)) <= 1e-10
+
+    def test_one_row_matches_the_sequential_reference(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 17, 64):
+            a, b = random_hermitian(rng, n), random_hermitian(rng, n)
+            phi = random_state(rng, n)
+            assert objective(a, b, phi.amplitudes) == sequential_optimize.objective(a, b, phi.amplitudes)
+            expected = sequential_optimize.riemannian_grad(a, b, phi)
+            assert np.array_equal(riemannian_grad(a, b, phi), expected)
 
     def test_phase_gauge_invariance(self):
         rng = np.random.default_rng(2)
@@ -133,39 +191,34 @@ class TestMinimizeProduct:
         assert done.stop_reason in ("gradient", "floor") and done.converged
         assert list(done.to_dict())[3:5] == ["converged", "stop_reason"]
 
-    def test_line_search_cost(self, monkeypatch):
+    def test_line_search_cost(self, monkeypatch, descents):
         # The warm-started search averages about 3 objective evaluations per
         # iteration here; a search that starts every iteration at 1/|g| takes 14.
         g = Grid(64, 40.0)
-        calls, runs = [0], []
-        objective_, descend = optimize.objective, optimize.minimize_product
+        rows, evaluate = [0], optimize._evaluate
 
-        def counted(*args):
-            calls[0] += 1
-            return objective_(*args)
+        def counted(pair, V):
+            rows[0] += V.shape[0]
+            return evaluate(pair, V)
 
-        def recorded(*args):
-            runs.append(descend(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(optimize, "objective", counted)
-        monkeypatch.setattr(optimize, "minimize_product", recorded)
+        monkeypatch.setattr(optimize, "_evaluate", counted)
         x, p = position_op(g), momentum_op(g)
         minimize_multistart(x, p, restarts=8, seed=1)
-        assert len(runs) == 8
-        assert calls[0] <= 4 * sum(res.iterations for res in runs)
-        for res in runs:
+        assert len(descents) == 8
+        assert rows[0] <= 4 * sum(res.iterations for res in descents)
+        for res in descents:
             assert np.all(np.diff(res.objective_trace) < 0)
             if res.stop_reason == "floor":
                 # the floor holds from the cold start 1/|g| too, not only
                 # from a warm start that has shrunk into rounding noise
                 grad = riemannian_grad(x, p, res.state)
                 gn = float(np.linalg.norm(grad))
-                assert optimize._backtrack(x, p, res.state.amplitudes, grad, res.value, gn, 1 / gn) is None
+                cold = optimize._backtrack(res.state.amplitudes, grad, res.value, gn, 1 / gn)
+                assert optimize._lockstep(optimize._pair(x, p), [cold]) == [None]
         # Restarts that stop on the floating-point floor with a minimal
         # certificate count as converged, like those that pass the gradient test.
-        assert {res.stop_reason for res in runs} == {"gradient", "floor"}
-        assert all(res.converged and res.certificate.is_minimal for res in runs)
+        assert {res.stop_reason for res in descents} == {"gradient", "floor"}
+        assert all(res.converged and res.certificate.is_minimal for res in descents)
 
     def test_certificate_at_eigenstate_of_b(self, sx, sz):
         # Within 1e-7 of the sz eigenstate |0>, far from both sx eigenstates:
@@ -197,6 +250,13 @@ class TestMinimizeProduct:
         with pytest.raises(ValueError):
             minimize_product(sx, sy, validate_state([1, 0]), max_iter=0)
 
+    def test_dimension_mismatch(self, sx, sy):
+        s3 = Observable(np.diag([1.0, 0.0, -1.0]))
+        with pytest.raises(DimensionMismatch):
+            minimize_product(sx, s3, validate_state([1, 0]))
+        with pytest.raises(DimensionMismatch):
+            minimize_multistart(sx, sy, phi0=validate_state([1, 0, 0]), restarts=2)
+
     def test_invalid_restarts(self, sx, sy):
         with pytest.raises(ValueError):
             minimize_multistart(sx, sy, restarts=0)
@@ -213,17 +273,8 @@ class TestMinimizeProduct:
         # just below hbar^2/4 (0.24997), unconverged and uncertified, drifting
         # toward a boundary-bound state; the random restart is certified.
         g = Grid(64, 40.0)
-        psi = np.zeros(g.n, dtype=complex)
-        for centre, sigma, k0, weight, phase in (
-            (-3.0840343921578315, 1.4551931865786556, -0.5342894938880451,
-             0.7322935313789465, 0.2569908773932812),
-            (7.346838112301143, 0.9884263580760617, -0.4345078141200651,
-             0.9264027652861015, 0.2604827353969633),
-        ):
-            envelope = -((g.points - centre) ** 2) / (4 * sigma**2)
-            psi += weight * np.exp(2j * np.pi * phase + envelope + 1j * k0 * g.points)
         res = minimize_multistart(
-            position_op(g), momentum_op(g), phi0=normalize(psi), restarts=2, seed=1
+            position_op(g), momentum_op(g), phi0=two_packet_start(g), restarts=2, seed=1
         )
         assert res.certificate.is_minimal
         assert res.converged
@@ -235,16 +286,7 @@ class TestMinimizeProduct:
         # hbar^2/4 + 2.1e-9, where Y = lambda X still fails (residual 1.6e-4).
         # The state is built and normalised as a problem file holds it.
         g = Grid(64, 40.0)
-        psi = np.zeros(g.n, dtype=complex)
-        for centre, sigma, k0, weight, phase in (
-            (-6.365394049445129, 1.0637379306561696, -0.30529448916750845,
-             0.5541322996318319, 0.5729824663658957),
-            (7.125013772196277, 1.300308235884153, -0.22139641033779678,
-             0.8306655202778821, 0.4022941440392247),
-        ):
-            envelope = -((g.points - centre) ** 2) / (4 * sigma**2)
-            psi += weight * np.exp(2j * np.pi * phase) * np.exp(envelope + 1j * k0 * g.points)
-        start = normalize(psi / np.linalg.norm(psi))
+        start = gradient_stop_start(g)
         res = minimize_product(position_op(g), momentum_op(g), start)
         assert res.stop_reason == "gradient"
         assert not res.certificate.is_minimal
@@ -260,3 +302,41 @@ class TestMinimizeProduct:
         rep = relations_report(p, x, res.state)
         assert rep.area == pytest.approx(g.hbar / 2, abs=1e-3)
         assert abs(rep.metric_term) <= 1e-3
+
+
+def equivalence_cases():
+    """(A, B, phi0): the n = 64 grid x,p starts written out above, random
+    dense n = 32 pairs, and sx, sy from random starts only."""
+    g = Grid(64, 40.0)
+    x, p = position_op(g), momentum_op(g)
+    yield pytest.param(x, p, two_packet_start(g), id="grid-two-packets")
+    yield pytest.param(x, p, gradient_stop_start(g), id="grid-gradient-stop")
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        a, b = random_hermitian(rng, 32), random_hermitian(rng, 32)
+        yield pytest.param(a, b, None, id=f"dense32-rng{seed}")
+    yield pytest.param(Observable([[0, 1], [1, 0]]), Observable([[0, -1j], [1j, 0]]), None, id="sx-sy")
+
+
+def assert_identical(res, ref):
+    """The same result bit for bit: every field, the state and the printed floats."""
+    assert replace(res, state=None) == replace(ref, state=None)
+    assert np.array_equal(res.state.amplitudes, ref.state.amplitudes)
+    assert json.dumps(res.to_dict()) == json.dumps(ref.to_dict())
+
+
+@pytest.mark.parametrize("a, b, phi0", equivalence_cases())
+def test_lockstep_restarts_match_the_sequential_reference(descents, a, b, phi0):
+    # Each restart run in lockstep with the others equals the same restart
+    # run alone, one vector at a time (tests/sequential_optimize.py).
+    seed = 5
+    starts = sequential_optimize.starts(a.dim, phi0, restarts=8, seed=seed)
+    expected = [sequential_optimize.minimize_product(a, b, st) for st in starts]
+    best = minimize_multistart(a, b, phi0=phi0, restarts=8, seed=seed)
+    runs = list(descents)
+    assert len(runs) == 8
+    for start, res, ref in zip(starts, runs, expected):
+        assert_identical(res, ref)
+        assert_identical(minimize_product(a, b, start), ref)
+    ranked = min(expected, key=lambda res: (not res.certificate.is_minimal, res.value))
+    assert_identical(best, replace(ranked, seed=seed))
