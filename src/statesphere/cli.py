@@ -68,8 +68,18 @@ def _number(value, what: str, integer: bool = False):
     return number
 
 
+# Largest n * scale of an observable a command computes with.  The report's
+# degree-4 fields, the optimizer's gradient and H(phi) stay below 24 (n
+# scale)^4, which must not overflow; measured on all-ones matrices, report
+# and minimize overflow from n * scale of about 1.7e77 to 9e77 at n = 2..64.
+MAGNITUDE_BOUND = 1e76
+
+
 class _Observables(Mapping):
-    """A problem file's named observables; a grid's x and p are built on first lookup."""
+    """A problem file's named observables; a grid's x and p are built on first lookup.
+
+    A lookup rejects an observable whose n * scale exceeds MAGNITUDE_BOUND.
+    """
 
     def __init__(self, defined: dict, builders: dict):
         self._built = defined
@@ -79,7 +89,13 @@ class _Observables(Mapping):
     def __getitem__(self, name: str) -> Observable:
         if name not in self._built:
             self._built[name] = self._builders[name]()
-        return self._built[name]
+        obs = self._built[name]
+        if obs.dim * obs.scale > MAGNITUDE_BOUND:
+            raise InvalidParameter(
+                f"observable {name!r} has scale {obs.scale!r}, above the bound "
+                f"{MAGNITUDE_BOUND:g} / n = {MAGNITUDE_BOUND / obs.dim!r} at n = {obs.dim}"
+            )
+        return obs
 
     def __iter__(self):
         return iter(self._names)

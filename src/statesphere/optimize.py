@@ -1,19 +1,30 @@
-"""Riemannian search for minimal-uncertainty states.
+"""Majorize-minimize search for minimal-uncertainty states.
 
-Minimizes f(phi) = Var_A(phi) * Var_B(phi) over the sphere of states by
-projected gradient descent with a normalize-after-step retraction.  Each
-Armijo search starts from the previous accepted step rather than from
-1/|g| (Nocedal & Wright, Numerical Optimization, sec. 3.5), which keeps
-Armijo's guarantee on the sphere (Absil, Mahony & Sepulchre 2008, sec. 4.2).
-The squared-product objective is smooth where the product of deviations is
-not, with the same minimizers.  The objective is phase and scale invariant,
-so the horizontal-projected gradient coincides with the Euclidean gradient
-of f(v/|v|).
+Minimizes f(phi) = Var_A(phi) * Var_B(phi) over the sphere of states.  At
+phi, with means a and b and variances alpha = Var_A and beta = Var_B, a step
+takes psi, the eigenvector of the smallest eigenvalue of
 
-The restarts of one minimize_multistart call advance in lockstep: each
-round evaluates the next trial of every live restart as one stack, with one
-matrix-vector product and one inner product per row, so each restart's
-result is bit for bit what it is when that restart runs alone.
+    H(phi) = beta (A - a)^2 + alpha (B - b)^2.
+
+Then beta Var_A(psi) + alpha Var_B(psi) <= <psi|H|psi> <= <phi|H|phi> =
+2 alpha beta, and by AM-GM Var_A(psi) Var_B(psi) <= alpha beta: the step
+never raises f.  This is a majorize-minimize step (Hunter & Lange, Am. Stat.
+58, 30, 2004).  A minimal-uncertainty state, (B - b - lambda (A - a)) phi = 0
+with lambda imaginary, is a ground state of its own H(phi).  At a fixed
+point H(phi) phi = 2 f phi, and the horizontal part of H(phi) phi is half the
+Riemannian gradient, so fixed points are critical points.
+
+Each step is over-relaxed.  With psi phase-aligned to phi, it tries
+normalize(phi + t (psi - phi)) for t = 1, 2, 4, ... while f strictly falls and
+keeps the last trial that lowered f.  On slopes where the plain step (t = 1)
+lowers f by rounding-level amounts, the doubling carries it down in a few
+steps.
+
+The restarts of one minimize_multistart call advance in lockstep: one
+np.linalg.eigh over the stack of their H, then one stacked evaluation per
+round of trials, with one matrix-vector product and one inner product per
+row.  Each restart's result is bit for bit what it is when that restart
+runs alone.
 """
 
 from __future__ import annotations
@@ -26,14 +37,13 @@ from .errors import DimensionMismatch
 from .hilbert import Observable, State, normalize
 from .uncertainty import MinimalConditionResult, minimal_condition
 
-ARMIJO_C = 1e-4
-SHRINK = 0.5
-MAX_BACKTRACKS = 60
+# Over-relaxation doublings tried after the plain step, t = 2 ... 2**40.
+MAX_DOUBLINGS = 40
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Outcome of one descent run (or the best of several restarts).
+    """Outcome of one search (or the best of several restarts).
 
     stop_reason is "gradient", "floor" or "iterations"; see minimize_product.
     """
@@ -62,28 +72,23 @@ class OptimizeResult:
         return out
 
 
-def _pair(A: Observable, B: Observable) -> np.ndarray:
-    """A and B stacked, so that one np.matmul applies both."""
-    return np.stack([A.matrix, B.matrix])[:, None]
-
-
-def _apply(pair: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(A v, B v) for each row v of V, or (A v, B w) for rows v of V[0] and w of V[1].
+def _apply(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M v for each row v of V.
 
     np.matmul over a stack of vectors makes one matrix-vector product per
-    row, each rounded as `A @ v` rounds it alone.  A single matrix product
-    V @ A.T would round differently.
+    row, each rounded as `M @ v` rounds it alone.  A single matrix product
+    V @ M.T would round differently.
     """
-    return np.matmul(pair, V[..., None])[..., 0]
+    return np.matmul(M, V[..., None])[..., 0]
 
 
-def _variances(pair: np.ndarray, V: np.ndarray):
+def _variances(A: Observable, B: Observable, V: np.ndarray):
     """Variances of A and B on each row of V read as a ray, with (A v, B v) and the means.
 
     Inner products are np.vecdot, one per row, each as np.vdot computes it.
     """
     n2 = np.vecdot(V, V).real
-    products = _apply(pair, V)
+    products = np.stack([_apply(A.matrix, V), _apply(B.matrix, V)])
     means = np.vecdot(V, products).real / n2
     variances = np.vecdot(products, products).real / n2 - means * means
     # max(v, 0.0), keeping a NaN or a -0.0 as max does
@@ -91,28 +96,36 @@ def _variances(pair: np.ndarray, V: np.ndarray):
 
 
 def _norms(V: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row: the root of the squared real and imaginary parts."""
-    return np.sqrt(np.vecdot(V.real, V.real) + np.vecdot(V.imag, V.imag))
+    """Euclidean norm of each row, taken after dividing by its largest modulus.
+
+    The gradient is of degree 4 in the operators, so its squared entries can
+    overflow where the entries themselves do not.
+    """
+    peak = np.abs(V).max(axis=-1)
+    scaled = V / np.where(peak > 0.0, peak, 1.0)[:, None]
+    return peak * np.sqrt(np.vecdot(scaled, scaled).real)
 
 
-def _evaluate(pair: np.ndarray, V: np.ndarray):
-    """Objective, tangent gradient and gradient norm at each row of V.
+def _evaluate(A: Observable, B: Observable, V: np.ndarray):
+    """Objective, tangent gradient, gradient norm, variances and means at each row of V.
 
     The gradient is assembled from the Euclidean gradient with respect to
     the real and imaginary parts of the row, then stripped of its complex
     component along the row, as projective.horizontal does.
     """
-    (va, vb), products, means = _variances(pair, V)
-    grads = 2.0 * _apply(pair, products) - (4.0 * means)[..., None] * products
+    variances, products, means = _variances(A, B, V)
+    va, vb = variances
+    grads = 2.0 * np.stack([_apply(A.matrix, products[0]), _apply(B.matrix, products[1])])
+    grads -= (4.0 * means)[..., None] * products
     xi = vb[:, None] * grads[0] + va[:, None] * grads[1]
     g = xi - np.vecdot(V, xi)[:, None] * V
-    return va * vb, g, _norms(g)
+    return va * vb, g, _norms(g), variances, means
 
 
 def objective(A: Observable, B: Observable, v) -> float:
     """Product of variances of A and B on the normalized vector."""
     v = np.asarray(v, dtype=complex).ravel()
-    (va, vb), *_ = _variances(_pair(A, B), v[None])
+    (va, vb), *_ = _variances(A, B, v[None])
     return float(va[0] * vb[0])
 
 
@@ -124,7 +137,7 @@ def riemannian_grad(A: Observable, B: Observable, phi: State) -> np.ndarray:
     phi (which removes both the radial and the phase-fibre directions).
     """
     _check_dims(A, B, phi)
-    return _evaluate(_pair(A, B), phi.amplitudes[None])[1][0]
+    return _evaluate(A, B, phi.amplitudes[None])[1][0]
 
 
 def _check_dims(A: Observable, B: Observable, phi: State) -> None:
@@ -134,6 +147,28 @@ def _check_dims(A: Observable, B: Observable, phi: State) -> None:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
 
 
+def _eigenstep(A, B, squares, V, variances, means) -> np.ndarray:
+    """For each row phi of V, the lowest eigenvector psi of H(phi), phase-aligned to phi.
+
+    H(phi) = beta A^2 - 2 beta a A + alpha B^2 - 2 alpha b B + (beta a^2 +
+    alpha b^2) I, with squares = (A^2, B^2); np.linalg.eigh reads one
+    triangle of each H.  psi is turned so that <psi|phi> is real and
+    positive, or left as it is where <psi|phi> = 0.
+    """
+    (alpha, beta), (a, b) = variances, means
+    rows, n = V.shape
+    H = np.zeros((rows, n, n), dtype=complex)
+    for weight, mean, M, M2 in ((beta, a, A.matrix, squares[0]), (alpha, b, B.matrix, squares[1])):
+        H += weight[:, None, None] * M2
+        H -= (2.0 * weight * mean)[:, None, None] * M
+    H.reshape(rows, n * n)[:, :: n + 1] += (beta * a * a + alpha * b * b)[:, None]
+    psi = np.linalg.eigh(H)[1][:, :, 0]
+    overlap = np.vecdot(psi, V)
+    modulus = np.abs(overlap)
+    phase = np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
+    return psi * phase[:, None]
+
+
 def minimize_product(
     A: Observable,
     B: Observable,
@@ -141,141 +176,76 @@ def minimize_product(
     max_iter: int = 500,
     grad_tol: float = 1e-8,
 ) -> OptimizeResult:
-    """Projected gradient descent from phi0 with a warm-started Armijo search.
+    """Over-relaxed majorize-minimize eigen-steps from phi0 (see the module docstring).
 
-    Each search starts at the last accepted step, capped at the cold start
-    1/|g| (where the first one starts), then halves until a trial passes,
-    or doubles while the doubled step still passes, up to 1/|g|.  A trial
-    passes when it lowers the objective strictly and by the Armijo margin.
-    When no halving of a warm start passes, the search runs once more from
-    1/|g|, the start of a cold search.
-
-    stop_reason says why the run ended: "gradient" when the tangent gradient
-    norm falls below grad_tol times the matrix scale, "floor" when no halving
-    of the cold start lowers the objective any more, "iterations" at
-    max_iter.  converged is true when the run stopped on the gradient test or
-    on the floor and minimal_condition certifies the final state.
+    stop_reason says why the run ended, tested in this order before each
+    step: "gradient" when the tangent gradient norm is at most grad_tol
+    times the matrix scale; "floor" when the eigen-step does not strictly
+    lower the objective, so phi is kept (this covers f at rounding level);
+    "iterations" after max_iter eigen-steps.  converged is true when the run
+    stopped on the gradient test or on the floor and minimal_condition
+    certifies the final state.
     """
     return _minimize(A, B, [phi0], max_iter, grad_tol)[0]
 
 
 def _minimize(A, B, starts, max_iter, grad_tol) -> list:
-    """One descent from each start, all run in lockstep; results in start order."""
+    """One search from each start, all run in lockstep; results in start order."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     for phi in starts:
         _check_dims(A, B, phi)
-    scale = max(A.scale, B.scale)
-    pair = _pair(A, B)
-    f, g, gn = _evaluate(pair, np.array([phi.amplitudes for phi in starts]))
-    runs = [
-        _descent(phi, here, scale, max_iter, grad_tol)
-        for phi, here in zip(starts, zip(f.tolist(), g, gn.tolist()))
-    ]
+    tol = grad_tol * max(A.scale, B.scale)
+    squares = (A.matrix @ A.matrix, B.matrix @ B.matrix)
+    V = np.array([phi.amplitudes for phi in starts])
+    f, _, gn, variances, means = _evaluate(A, B, V)
+    traces = [[value] for value in f.tolist()]
+    stops = ["iterations"] * len(starts)
+    steps = [max_iter] * len(starts)
+    live = np.arange(len(starts))
+    for it in range(max_iter):
+        done = gn[live] <= tol
+        for i in live[done]:
+            stops[i], steps[i] = "gradient", it
+        live = live[~done]
+        if live.size == 0:
+            break
+        base = V[live]
+        step = _eigenstep(A, B, squares, base, variances[:, live], means[:, live]) - base
+        # Row k of base and step belongs to restart rows[k].
+        rows, t = live, 1.0
+        for _ in range(MAX_DOUBLINGS + 1):
+            w = base + t * step
+            w = w / _norms(w)[:, None]
+            fw, _, gnw, var_w, mean_w = _evaluate(A, B, w)
+            lower = fw < f[rows]
+            if t == 1.0:
+                for i in rows[~lower]:
+                    stops[i], steps[i] = "floor", it + 1
+                live = rows[lower]
+            rows, base, step = rows[lower], base[lower], step[lower]
+            V[rows], f[rows], gn[rows] = w[lower], fw[lower], gnw[lower]
+            variances[:, rows], means[:, rows] = var_w[:, lower], mean_w[:, lower]
+            if rows.size == 0:
+                break
+            t *= 2.0
+        for i in live:
+            traces[i].append(float(f[i]))
     results = []
-    for phi, f, it, stop_reason, trace in _lockstep(pair, runs):
+    for i, phi in enumerate(starts):
+        if len(traces[i]) > 1:
+            phi = State(V[i])
         certificate = minimal_condition(A, B, phi)
         results.append(OptimizeResult(
             state=phi,
-            value=f,
-            iterations=it,
-            converged=stop_reason != "iterations" and certificate.is_minimal,
-            stop_reason=stop_reason,
+            value=traces[i][-1],
+            iterations=steps[i],
+            converged=stops[i] != "iterations" and certificate.is_minimal,
+            stop_reason=stops[i],
             certificate=certificate,
-            objective_trace=trace,
+            objective_trace=traces[i],
         ))
     return results
-
-
-def _lockstep(pair, runs) -> list:
-    """Run coroutines that yield trials, one stacked evaluation per round.
-
-    Each round gathers the trial (v, g, step) that every live run waits on,
-    retracts all of them as one stack, evaluates the stack with _evaluate
-    and sends each run its row (w, f, g, |g|).  Returns what each run returns.
-    """
-    out = [None] * len(runs)
-    waiting = {}
-
-    def resume(i, value):
-        try:
-            waiting[i] = runs[i].send(value)
-        except StopIteration as stop:
-            out[i] = stop.value
-            waiting.pop(i, None)
-
-    for i in range(len(runs)):
-        resume(i, None)
-    while waiting:
-        order = list(waiting)
-        v, g, step = zip(*(waiting[i] for i in order))
-        w = np.array(v) - np.array(step)[:, None] * np.array(g)
-        w = w / _norms(w)[:, None]
-        f, g, gn = _evaluate(pair, w)
-        for i, row in zip(order, zip(w, f.tolist(), g, gn.tolist())):
-            resume(i, row)
-    return out
-
-
-def _descent(phi, here, scale, max_iter, grad_tol):
-    """One run of minimize_product from phi, a coroutine over trials.
-
-    here is (f, g, |g|) at phi.  Each trial yields (v, g, step) and is sent
-    the evaluation (w, f, g, |g|) at the retracted point w = (v - step g)/|v
-    - step g|.  Returns (final state, value, iterations, stop_reason, trace).
-    """
-    f, g, gn = here
-    trace = [f]
-    stop_reason = "iterations"
-    step = np.inf
-    it = 0
-    while it < max_iter:
-        if gn <= grad_tol * scale:
-            stop_reason = "gradient"
-            break
-        it += 1
-        v, cold = phi.amplitudes, 1.0 / gn
-        found = yield from _backtrack(v, g, f, gn, min(step, cold))
-        if found is None and step < cold:
-            # A warm start that has shrunk into rounding noise proves no floor.
-            found = yield from _backtrack(v, g, f, gn, cold)
-        if found is None:
-            stop_reason = "floor"  # no further decrease representable
-            break
-        accepted, step, halvings = found
-        while halvings == 0 and step < cold:
-            longer = min(2.0 * step, cold)
-            expanded = yield from _armijo_trial(v, g, f, gn, longer)
-            if expanded is None:
-                break
-            accepted, step = expanded, longer
-        w, f, g, gn = accepted
-        phi = State(w)
-        trace.append(f)
-    return phi, f, it, stop_reason, trace
-
-
-def _backtrack(v, g, f, gn, step):
-    """Halve step until a trial passes: (trial, step, halvings), or None after MAX_BACKTRACKS."""
-    for halvings in range(MAX_BACKTRACKS):
-        accepted = yield from _armijo_trial(v, g, f, gn, step)
-        if accepted is not None:
-            return accepted, step, halvings
-        step *= SHRINK
-    return None
-
-
-def _armijo_trial(v, g, f, gn, step):
-    """The evaluation at the retracted trial (v - step g)/|v - step g| if it passes.
-
-    A trial passes when it lowers f strictly and by at least the Armijo
-    margin ARMIJO_C * step * |g|^2; otherwise the result is None.
-    """
-    trial = yield v, g, step
-    fc = trial[1]
-    if fc < f and fc <= f - ARMIJO_C * step * gn * gn:
-        return trial
-    return None
 
 
 def minimize_multistart(
@@ -287,7 +257,7 @@ def minimize_multistart(
     max_iter: int = 500,
     grad_tol: float = 1e-8,
 ) -> OptimizeResult:
-    """Best of several independent descent runs, run in lockstep.
+    """Best of several independent searches, run in lockstep.
 
     Restart 0 uses phi0 when given; the remaining starts are normalized
     standard complex Gaussian vectors drawn from the recorded seed.  A run

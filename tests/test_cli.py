@@ -366,6 +366,35 @@ def test_exit_code_table(tmp_path, capsys, argv, problem, code):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def magnitude_problem(size: float) -> dict:
+    """n = 4: an all-ones a and an i-above, -i-below b, entries of modulus `size`,
+    at a state of the largest variance of a."""
+    ones = np.ones((4, 4))
+    b = np.triu(ones, 1) * 1j
+    vecs = np.linalg.eigh(ones)[1]
+    return {"dim": 4, "state": as_pairs((vecs[:, 0] + vecs[:, -1]) / np.sqrt(2)),
+            "observables": {"a": as_matrix(size * ones), "b": as_matrix(size * (b + b.conj().T))}}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["report"], ["minimize", "--restarts", "3"]], ids=lambda a: a[0])
+def test_magnitude_bound(tmp_path, capsys, argv):
+    """At n * scale = MAGNITUDE_BOUND a command runs with finite output; just above, it
+    exits 2 naming the observable, its scale and the bound."""
+    path = tmp_path / "problem.json"
+    at = cli.MAGNITUDE_BOUND / 4
+    run = [argv[0], "--input", str(path), "--pair", "a", "b", *argv[1:]]
+    path.write_text(json.dumps(magnitude_problem(at)))
+    assert main(run) == 0
+    json.loads(capsys.readouterr().out)  # a non-finite float prints as inf or nan, not JSON
+    above = float(np.nextafter(at, np.inf))
+    path.write_text(json.dumps(magnitude_problem(above)))
+    assert main(run) == 2
+    assert capsys.readouterr().err == (
+        f"error: observable 'a' has scale {above!r}, above the bound 1e+76 / n = {at!r} at n = 4\n"
+    )
+
+
 def grid16_problem() -> dict:
     g = Grid(16, 40.0)
     return {"dim": 16, "state": as_pairs(gaussian(g, 0.0, 0.0, 2.0).amplitudes),

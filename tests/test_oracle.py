@@ -215,3 +215,15 @@ def test_minimize_certificate_reproduced_at_printed_state(problems, name, case):
     a, b = pair(case)
     state = State([complex(re, im) for re, im in out["state"]])
     assert minimal_condition(observables[a], observables[b], state).to_dict() == out["certificate"]
+
+
+@pytest.mark.parametrize("name, case", params(cases("minimize")))
+def test_minimize_trace_strictly_decreases_to_the_value(name, case):
+    # The trace depends on the path taken, so its digits are not checked
+    # against the oracle: only that each accepted step lowered the product
+    # and that the last entry is the printed value.
+    out = json.loads(case["stdout"])
+    trace = out["objective_trace"]
+    assert len(trace) >= 1
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+    assert trace[-1] == out["value"]
