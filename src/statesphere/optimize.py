@@ -19,12 +19,6 @@ normalize(phi + t (psi - phi)) for t = 1, 2, 4, ... while f strictly falls and
 keeps the last trial that lowered f.  On slopes where the plain step (t = 1)
 lowers f by rounding-level amounts, the doubling carries it down in a few
 steps.
-
-The restarts of one minimize_multistart call advance in lockstep: one
-np.linalg.eigh over the stack of their H, then one stacked evaluation per
-round of trials, with one matrix-vector product and one inner product per
-row.  Each restart's result is bit for bit what it is when that restart
-runs alone.
 """
 
 from __future__ import annotations
@@ -72,61 +66,47 @@ class OptimizeResult:
         return out
 
 
-def _apply(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M v for each row v of V.
-
-    np.matmul over a stack of vectors makes one matrix-vector product per
-    row, each rounded as `M @ v` rounds it alone.  A single matrix product
-    V @ M.T would round differently.
-    """
-    return np.matmul(M, V[..., None])[..., 0]
-
-
-def _variances(A: Observable, B: Observable, V: np.ndarray):
-    """Variances of A and B on each row of V read as a ray, with (A v, B v) and the means.
-
-    Inner products are np.vecdot, one per row, each as np.vdot computes it.
-    """
-    n2 = np.vecdot(V, V).real
-    products = np.stack([_apply(A.matrix, V), _apply(B.matrix, V)])
-    means = np.vecdot(V, products).real / n2
-    variances = np.vecdot(products, products).real / n2 - means * means
-    # max(v, 0.0), keeping a NaN or a -0.0 as max does
-    return np.where(variances < 0.0, 0.0, variances), products, means
+def _variances(A: Observable, B: Observable, v: np.ndarray):
+    """Variances of A and B on v read as a ray, with (A v, B v) and the means."""
+    n2 = np.vdot(v, v).real
+    products = (A.matrix @ v, B.matrix @ v)
+    means = tuple(np.vdot(v, w).real / n2 for w in products)
+    # max(x, 0.0) clamps rounding below zero and keeps a NaN or a -0.0
+    variances = tuple(max(np.vdot(w, w).real / n2 - m * m, 0.0) for w, m in zip(products, means))
+    return variances, products, means
 
 
-def _norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, taken after dividing by its largest modulus.
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, taken after dividing by its largest modulus.
 
     The gradient is of degree 4 in the operators, so its squared entries can
     overflow where the entries themselves do not.
     """
-    peak = np.abs(V).max(axis=-1)
-    scaled = V / np.where(peak > 0.0, peak, 1.0)[:, None]
-    return peak * np.sqrt(np.vecdot(scaled, scaled).real)
+    peak = np.abs(v).max()
+    scaled = v / (peak if peak > 0.0 else 1.0)
+    return peak * np.sqrt(np.vdot(scaled, scaled).real)
 
 
-def _evaluate(A: Observable, B: Observable, V: np.ndarray):
-    """Objective, tangent gradient, gradient norm, variances and means at each row of V.
+def _evaluate(A: Observable, B: Observable, v: np.ndarray):
+    """Objective, tangent gradient, gradient norm, variances and means at v.
 
     The gradient is assembled from the Euclidean gradient with respect to
-    the real and imaginary parts of the row, then stripped of its complex
-    component along the row, as projective.horizontal does.
+    the real and imaginary parts of v, then stripped of its complex
+    component along v, as projective.horizontal does.
     """
-    variances, products, means = _variances(A, B, V)
-    va, vb = variances
-    grads = 2.0 * np.stack([_apply(A.matrix, products[0]), _apply(B.matrix, products[1])])
-    grads -= (4.0 * means)[..., None] * products
-    xi = vb[:, None] * grads[0] + va[:, None] * grads[1]
-    g = xi - np.vecdot(V, xi)[:, None] * V
-    return va * vb, g, _norms(g), variances, means
+    variances, (av, bv), means = _variances(A, B, v)
+    (va, vb), (ma, mb) = variances, means
+    grad_a = 2.0 * (A.matrix @ av) - 4.0 * ma * av
+    grad_b = 2.0 * (B.matrix @ bv) - 4.0 * mb * bv
+    xi = vb * grad_a + va * grad_b
+    g = xi - np.vdot(v, xi) * v
+    return va * vb, g, _norm(g), variances, means
 
 
 def objective(A: Observable, B: Observable, v) -> float:
     """Product of variances of A and B on the normalized vector."""
-    v = np.asarray(v, dtype=complex).ravel()
-    (va, vb), *_ = _variances(A, B, v[None])
-    return float(va[0] * vb[0])
+    (va, vb), *_ = _variances(A, B, np.asarray(v, dtype=complex).ravel())
+    return float(va * vb)
 
 
 def riemannian_grad(A: Observable, B: Observable, phi: State) -> np.ndarray:
@@ -137,7 +117,7 @@ def riemannian_grad(A: Observable, B: Observable, phi: State) -> np.ndarray:
     phi (which removes both the radial and the phase-fibre directions).
     """
     _check_dims(A, B, phi)
-    return _evaluate(A, B, phi.amplitudes[None])[1][0]
+    return _evaluate(A, B, phi.amplitudes)[1]
 
 
 def _check_dims(A: Observable, B: Observable, phi: State) -> None:
@@ -147,26 +127,26 @@ def _check_dims(A: Observable, B: Observable, phi: State) -> None:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
 
 
-def _eigenstep(A, B, squares, V, variances, means) -> np.ndarray:
-    """For each row phi of V, the lowest eigenvector psi of H(phi), phase-aligned to phi.
+def _eigenstep(A, B, squares, v, variances, means) -> np.ndarray:
+    """The lowest eigenvector psi of H(v), phase-aligned to v.
 
-    H(phi) = beta A^2 - 2 beta a A + alpha B^2 - 2 alpha b B + (beta a^2 +
+    H(v) = beta A^2 - 2 beta a A + alpha B^2 - 2 alpha b B + (beta a^2 +
     alpha b^2) I, with squares = (A^2, B^2); np.linalg.eigh reads one
-    triangle of each H.  psi is turned so that <psi|phi> is real and
-    positive, or left as it is where <psi|phi> = 0.
+    triangle of H.  psi is turned so that <psi|v> is real and positive, or
+    left as it is where <psi|v> = 0.
     """
     (alpha, beta), (a, b) = variances, means
-    rows, n = V.shape
-    H = np.zeros((rows, n, n), dtype=complex)
+    n = v.size
+    H = np.zeros((n, n), dtype=complex)
     for weight, mean, M, M2 in ((beta, a, A.matrix, squares[0]), (alpha, b, B.matrix, squares[1])):
-        H += weight[:, None, None] * M2
-        H -= (2.0 * weight * mean)[:, None, None] * M
-    H.reshape(rows, n * n)[:, :: n + 1] += (beta * a * a + alpha * b * b)[:, None]
-    psi = np.linalg.eigh(H)[1][:, :, 0]
-    overlap = np.vecdot(psi, V)
+        H += weight * M2
+        H -= (2.0 * weight * mean) * M
+    H.reshape(n * n)[:: n + 1] += beta * a * a + alpha * b * b
+    psi = np.linalg.eigh(H)[1][:, 0]
+    overlap = np.vdot(psi, v)
+    # np.abs, not abs(): the builtin rounds a NumPy complex scalar differently
     modulus = np.abs(overlap)
-    phase = np.divide(overlap, modulus, out=np.ones_like(overlap), where=modulus > 0.0)
-    return psi * phase[:, None]
+    return psi * (overlap / modulus) if modulus > 0.0 else psi
 
 
 def minimize_product(
@@ -190,62 +170,52 @@ def minimize_product(
 
 
 def _minimize(A, B, starts, max_iter, grad_tol) -> list:
-    """One search from each start, all run in lockstep; results in start order."""
+    """One search from each start, one after another; results in start order."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     for phi in starts:
         _check_dims(A, B, phi)
     tol = grad_tol * max(A.scale, B.scale)
     squares = (A.matrix @ A.matrix, B.matrix @ B.matrix)
-    V = np.array([phi.amplitudes for phi in starts])
-    f, _, gn, variances, means = _evaluate(A, B, V)
-    traces = [[value] for value in f.tolist()]
-    stops = ["iterations"] * len(starts)
-    steps = [max_iter] * len(starts)
-    live = np.arange(len(starts))
+    return [_search(A, B, squares, phi, max_iter, tol) for phi in starts]
+
+
+def _search(A, B, squares, phi, max_iter, tol) -> OptimizeResult:
+    """minimize_product from phi, with squares = (A^2, B^2) and the absolute gradient tolerance."""
+    v = phi.amplitudes
+    f, _, gn, variances, means = _evaluate(A, B, v)
+    trace = [float(f)]
+    stop, steps = "iterations", max_iter
     for it in range(max_iter):
-        done = gn[live] <= tol
-        for i in live[done]:
-            stops[i], steps[i] = "gradient", it
-        live = live[~done]
-        if live.size == 0:
+        if gn <= tol:
+            stop, steps = "gradient", it
             break
-        base = V[live]
-        step = _eigenstep(A, B, squares, base, variances[:, live], means[:, live]) - base
-        # Row k of base and step belongs to restart rows[k].
-        rows, t = live, 1.0
+        base, t = v, 1.0
+        step = _eigenstep(A, B, squares, base, variances, means) - base
         for _ in range(MAX_DOUBLINGS + 1):
             w = base + t * step
-            w = w / _norms(w)[:, None]
+            w = w / _norm(w)
             fw, _, gnw, var_w, mean_w = _evaluate(A, B, w)
-            lower = fw < f[rows]
-            if t == 1.0:
-                for i in rows[~lower]:
-                    stops[i], steps[i] = "floor", it + 1
-                live = rows[lower]
-            rows, base, step = rows[lower], base[lower], step[lower]
-            V[rows], f[rows], gn[rows] = w[lower], fw[lower], gnw[lower]
-            variances[:, rows], means[:, rows] = var_w[:, lower], mean_w[:, lower]
-            if rows.size == 0:
+            if not fw < f:
                 break
+            v, f, gn, variances, means = w, fw, gnw, var_w, mean_w
             t *= 2.0
-        for i in live:
-            traces[i].append(float(f[i]))
-    results = []
-    for i, phi in enumerate(starts):
-        if len(traces[i]) > 1:
-            phi = State(V[i])
-        certificate = minimal_condition(A, B, phi)
-        results.append(OptimizeResult(
-            state=phi,
-            value=traces[i][-1],
-            iterations=steps[i],
-            converged=stops[i] != "iterations" and certificate.is_minimal,
-            stop_reason=stops[i],
-            certificate=certificate,
-            objective_trace=traces[i],
-        ))
-    return results
+        if v is base:
+            stop, steps = "floor", it + 1
+            break
+        trace.append(float(f))
+    if len(trace) > 1:
+        phi = State(v)
+    certificate = minimal_condition(A, B, phi)
+    return OptimizeResult(
+        state=phi,
+        value=trace[-1],
+        iterations=steps,
+        converged=stop != "iterations" and certificate.is_minimal,
+        stop_reason=stop,
+        certificate=certificate,
+        objective_trace=trace,
+    )
 
 
 def minimize_multistart(
@@ -257,7 +227,7 @@ def minimize_multistart(
     max_iter: int = 500,
     grad_tol: float = 1e-8,
 ) -> OptimizeResult:
-    """Best of several independent searches, run in lockstep.
+    """Best of several independent searches, run one after another.
 
     Restart 0 uses phi0 when given; the remaining starts are normalized
     standard complex Gaussian vectors drawn from the recorded seed.  A run

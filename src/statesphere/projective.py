@@ -86,11 +86,7 @@ def eigenset(A: Observable) -> EigenSet:
     return EigenSet(*dec.clusters(), dec.eigenvectors)
 
 
-def _as_eigenset(A) -> EigenSet:
-    return A if isinstance(A, EigenSet) else eigenset(A)
-
-
-def dist_to_eigenset(A, phi: State, scale: float = 1.0) -> float:
+def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
     """Distance from the ray of phi to the set of eigenstates of A.
 
     Minimum over eigenspaces P of scale * arccos(|P phi|); zero exactly when
@@ -98,7 +94,7 @@ def dist_to_eigenset(A, phi: State, scale: float = 1.0) -> float:
     gives every |P phi|^2 as a sum over the eigenspace's columns.
     """
     _require_scale(scale)
-    es = _as_eigenset(A)
+    es = eigenset(A)
     if es.basis.shape[0] != phi.dim:
         raise DimensionMismatch("eigenspace and state dims differ")
     coeffs = es.basis.conj().T @ phi.amplitudes

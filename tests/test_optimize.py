@@ -73,15 +73,15 @@ def gradient_stop_start(g):
 
 @pytest.fixture
 def descents(monkeypatch):
-    """The starts and every restart's OptimizeResult, as the lockstep search returns them."""
-    runs, minimize = [], optimize._minimize
+    """The start and OptimizeResult of every search, in the order they run."""
+    runs, search = [], optimize._search
 
-    def recorded(A, B, starts, *args):
-        results = minimize(A, B, starts, *args)
-        runs.extend(zip(starts, results))
-        return results
+    def recorded(A, B, squares, phi, *args):
+        res = search(A, B, squares, phi, *args)
+        runs.append((phi, res))
+        return res
 
-    monkeypatch.setattr(optimize, "_minimize", recorded)
+    monkeypatch.setattr(optimize, "_search", recorded)
     return runs
 
 
@@ -132,7 +132,7 @@ class TestRiemannianGrad:
         assert abs(inner(g, phi.amplitudes)) <= 1e-10
 
     def test_one_row_matches_the_sequential_reference(self):
-        # The stacked kernels give on one row what `A @ v` and np.vdot give.
+        # objective and riemannian_grad round as `A @ v` and np.vdot written out.
         rng = np.random.default_rng(6)
         for n in (2, 3, 17, 64):
             a, b = random_hermitian(rng, n), random_hermitian(rng, n)
@@ -212,25 +212,30 @@ class TestMinimizeProduct:
         assert done.stop_reason in ("gradient", "floor") and done.converged
         assert list(done.to_dict())[3:5] == ["converged", "stop_reason"]
 
-    def test_step_count(self, monkeypatch, descents):
+    def test_step_count(self, monkeypatch):
         # Measured: every random restart on x,p is certified after one
-        # eigen-step and stops on the gradient test, in 3 stacked rounds of
-        # 24 rows in all (the starts, the plain steps, and one rejected
-        # doubling each).  The bounds below allow twice that.
+        # eigen-step and stops on the gradient test, after 3 evaluations
+        # (the start, the plain step, and one rejected doubling).  The bounds
+        # below allow twice that.
         g = Grid(64, 40.0)
-        rounds, rows, evaluate = [0], [0], optimize._evaluate
+        runs, evaluations = [], []
+        evaluate, search = optimize._evaluate, optimize._search
 
-        def counted(A, B, V):
-            rounds[0] += 1
-            rows[0] += V.shape[0]
-            return evaluate(A, B, V)
+        def counted(*args):
+            evaluations[-1] += 1
+            return evaluate(*args)
+
+        def recorded(*args):
+            evaluations.append(0)
+            runs.append(search(*args))
+            return runs[-1]
 
         monkeypatch.setattr(optimize, "_evaluate", counted)
+        monkeypatch.setattr(optimize, "_search", recorded)
         minimize_multistart(position_op(g), momentum_op(g), restarts=8, seed=1)
-        runs = [res for _, res in descents]
         assert len(runs) == 8
         assert all(res.iterations <= 2 for res in runs)
-        assert rounds[0] <= 6 and rows[0] <= 48
+        assert all(count <= 6 for count in evaluations)
         for res in runs:
             assert np.all(np.diff(res.objective_trace) < 0)
             assert res.stop_reason == "gradient" and res.converged
@@ -352,8 +357,8 @@ def assert_identical(res, ref):
 
 @pytest.mark.parametrize("a, b, phi0", equivalence_cases())
 def test_each_restart_equals_the_restart_run_alone(descents, a, b, phi0):
-    # Each restart run in lockstep with the others, on one stack of H and one
-    # stacked evaluation per round, equals minimize_product from its start.
+    # Each restart, run with the squares A^2 and B^2 shared by all of them,
+    # equals minimize_product from its start.
     seed = 5
     best = minimize_multistart(a, b, phi0=phi0, restarts=8, seed=seed)
     runs = list(descents)
@@ -416,13 +421,28 @@ def test_eigenstep_never_raises_the_product(data, n, log_size):
             for _ in range(2))
     v = data.draw(arrays(float, (n, 2), elements=unit)) @ [1, 1j]
     assume(np.linalg.norm(v) > 1e-3)
-    V = normalize(v).amplitudes[None]
-    _, _, _, variances, means = optimize._evaluate(a, b, V)
-    assume(variances.max() > 0.0)
+    v = normalize(v).amplitudes
+    _, _, _, variances, means = optimize._evaluate(a, b, v)
+    assume(max(variances) > 0.0)
     squares = (a.matrix @ a.matrix, b.matrix @ b.matrix)
-    psi = optimize._eigenstep(a, b, squares, V, variances, means)[0]
-    rise = exact_product(a, b, psi) - exact_product(a, b, V[0])
+    psi = optimize._eigenstep(a, b, squares, v, variances, means)
+    rise = exact_product(a, b, psi) - exact_product(a, b, v)
     assert rise <= rounding_allowance(n, max(a.scale, b.scale))
+
+
+def test_each_eigensolve_is_one_matrix(monkeypatch):
+    # Each restart's step decomposes its own n x n H, never a stack of them.
+    g = Grid(64, 40.0)
+    shapes, eigh = [], np.linalg.eigh
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    minimize_multistart(position_op(g), momentum_op(g), restarts=8, seed=0)
+    assert all(shape == (g.n, g.n) for shape in shapes)
+    assert len(shapes) >= 8
 
 
 def test_certified_grid_minimizer_is_a_fixed_point():

@@ -126,10 +126,6 @@ class TestDistToEigenset:
         phi = normalize([1, 1, 0])
         assert dist_to_eigenset(a, phi) == pytest.approx(0.0, abs=1e-7)
 
-    def test_accepts_precomputed_eigenset(self, sz):
-        es = eigenset(sz)
-        assert dist_to_eigenset(es, normalize([1, 1])) == pytest.approx(np.pi / 4)
-
     def test_degenerate_spectra_match_definition(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
