@@ -80,9 +80,13 @@ def _norm(v: np.ndarray) -> float:
     """Euclidean norm of v, taken after dividing by its largest modulus.
 
     The gradient is of degree 4 in the operators, so its squared entries can
-    overflow where the entries themselves do not.
+    overflow where the entries themselves do not.  A subnormal peak is first
+    raised by an exact power of two: complex division takes the reciprocal of
+    the divisor, which overflows there.
     """
     peak = np.abs(v).max()
+    if 0.0 < peak < np.finfo(float).tiny:
+        return _norm(v * 2.0**600) / 2.0**600
     scaled = v / (peak if peak > 0.0 else 1.0)
     return peak * np.sqrt(np.vdot(scaled, scaled).real)
 
