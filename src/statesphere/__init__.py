@@ -39,17 +39,9 @@ from .projective import (
     eigenset,
     eigenset_distance,
     fs_distance,
-    horizontal,
     triangle_report,
 )
-from .realify import (
-    AdaptedCoordinates,
-    adapted_basis,
-    metric_g,
-    parallelogram_area,
-    realize,
-    symplectic,
-)
+from .realify import metric_g, parallelogram_area, symplectic
 from .uncertainty import (
     MinimalConditionResult,
     UncertaintyReport,

@@ -50,9 +50,7 @@ def momentum_op(g: Grid) -> Observable:
     j = np.arange(g.n)
     f = np.exp(-2j * np.pi * np.outer(j, j) / g.n) / np.sqrt(g.n)
     k = 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.length / g.n)
-    p = f.conj().T @ (g.hbar * k[:, None] * f)
-    # symmetrize away ~1e-13 rounding asymmetry; exact content unchanged
-    return Observable(0.5 * (p + p.conj().T))
+    return Observable(f.conj().T @ (g.hbar * k[:, None] * f))
 
 
 def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:

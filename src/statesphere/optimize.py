@@ -96,7 +96,7 @@ def _evaluate(A: Observable, B: Observable, v: np.ndarray):
 
     The gradient is assembled from the Euclidean gradient with respect to
     the real and imaginary parts of v, then stripped of its complex
-    component along v, as projective.horizontal does.
+    component along v.
     """
     variances, (av, bv), means = _variances(A, B, v)
     (va, vb), (ma, mb) = variances, means

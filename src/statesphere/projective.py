@@ -69,17 +69,6 @@ def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
     return scale * float(np.arccos(overlap))
 
 
-def horizontal(xi, phi: State) -> np.ndarray:
-    """Component of xi orthogonal to the phase fibre through phi.
-
-    Applied to -i A phi this returns the centered tangent field -i(A - <A>)phi.
-    """
-    xi = np.asarray(xi, dtype=complex).ravel()
-    if xi.size != phi.dim:
-        raise DimensionMismatch(f"vector dim {xi.size} != state dim {phi.dim}")
-    return xi - inner(xi, phi.amplitudes) * phi.amplitudes
-
-
 def eigenset(A: Observable) -> EigenSet:
     """Eigenspaces of A with near-degenerate eigenvalues clustered."""
     dec = spectral(A)

@@ -27,9 +27,10 @@ from statesphere import (
     triangle_report,
     validate_state,
 )
-from statesphere.realify import adapted_basis, parallelogram_area, realize
+from statesphere.realify import parallelogram_area
 
 from conftest import random_hermitian, random_state
+from coordinates import adapted_basis, realize
 
 SX = Observable([[0, 1], [1, 0]])
 SY = Observable([[0, -1j], [1j, 0]])

