@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import Observable, State, spectral
-from .serialize import format_float
+from .serialize import FLOAT_FORMAT
 from .uncertainty import std_dev
 
 
@@ -37,15 +37,15 @@ class FlowTrace:
         table = np.column_stack(
             [self.times, amplitudes.view(float), self.fs_speeds, self.std_devs]
         )
-        fileobj.writelines(",".join(map(format_float, row)) + "\r\n" for row in table.tolist())
+        row_format = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\r\n"
+        fileobj.writelines(row_format.format(*row) for row in table.tolist())
 
 
 def flow(A: Observable, phi: State, t: float) -> State:
     """Evolve phi along the integral curve of the field -i A phi for time t."""
     dec = spectral(A)
-    v = dec.eigenvectors
     phases = np.exp(-1j * dec.eigenvalues * t)
-    out = v @ (phases * (v.conj().T @ phi.amplitudes))
+    out = dec.eigenvectors @ (phases * (dec.adjoint @ phi.amplitudes))
     return State(out / np.linalg.norm(out))
 
 

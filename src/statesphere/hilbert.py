@@ -109,6 +109,11 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """V^dagger, the conjugate transpose of the eigenvector columns V."""
+        return self.eigenvectors.conj().T
+
     def clusters(self) -> tuple[np.ndarray, np.ndarray]:
         """Near-degenerate eigenvalues grouped into eigenspaces, as (values, starts).
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 
 # 17 significant digits round-trip every double.
-format_float = "{:.17g}".format
+FLOAT_FORMAT = "{:.17g}"
+format_float = FLOAT_FORMAT.format
 
 
 def _render(obj) -> str:

@@ -114,7 +114,8 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
     comm_half_symp = abs(symplectic(X, Y))
     if abs(comm_half - comm_half_symp) > 1e-10 * scale**2:
         raise GeometryError(
-            "commutator term disagrees between spectral and symplectic routes"
+            "commutator term disagrees between the second products "
+            "A_c(B_c phi), B_c(A_c phi) and the symplectic form of X, Y"
         )
     anti_half = 0.5 * abs(inner(ab + ba, phi.amplitudes))
 

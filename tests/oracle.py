@@ -13,6 +13,12 @@ file's state is normalised in mpmath.
 `std_dev` and `minimize_fields` do the same for evolve's std_dev column and
 for the value and certificate that `statesphere minimize` prints, at a state
 read back from the printed output and normalised with `normalised`.
+
+`problem_eigensystems` gives each observable's exact eigenvalues and
+eigenvectors: a dense observable's from mpmath's `eighe`, a grid's x and p
+in closed form (unit vectors and plane waves).  From them `distances_fields`
+computes what `statesphere distances` prints, and `flowed` and `fs_speed`
+evolve's amplitudes and fs_speed column, all at DIGITS.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from mpmath import mp
 
 from statesphere import DimensionMismatch, Observable
+from statesphere.hilbert import DEGENERACY_GAP
 
 DIGITS = 50
 
@@ -60,6 +67,41 @@ def _grid_operators(spec: dict):
     ]
     p = [[column[(j - l) % n] for l in range(n)] for j in range(n)]
     return {"x": x, "p": p}
+
+
+def _grid_eigensystems(spec: dict):
+    """Ascending eigenvalues and eigenvector columns of a grid's x and p, to DIGITS.
+
+    x has the grid points with the unit vectors; p has hbar k_m with the
+    plane waves exp(2 pi i m j / n) / sqrt(n), the columns of F^dagger.
+    """
+    n, length = spec["n"], mp.mpf(spec["length"])
+    hbar = mp.mpf(spec.get("hbar", 1.0))
+    units = [[mp.mpc(int(j == l)) for j in range(n)] for l in range(n)]
+    points = [-length / 2 + j * length / n for j in range(n)]
+    ms = range(-n // 2, n // 2)
+    waves = [[mp.expjpi(mp.mpf(2 * m * j) / n) / mp.sqrt(n) for j in range(n)] for m in ms]
+    return {"x": (points, units), "p": ([hbar * 2 * mp.pi * m / length for m in ms], waves)}
+
+
+def _hermitian_eigensystem(m):
+    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix by mpmath's eighe."""
+    values, vectors = mp.eighe(mp.matrix(m))
+    n = len(m)
+    return [values[k] for k in range(n)], [[vectors[j, k] for j in range(n)] for k in range(n)]
+
+
+def problem_eigensystems(doc: dict) -> dict:
+    """name -> (eigenvalues, eigenvectors) of each named observable of a problem file."""
+    with mp.workdps(DIGITS):
+        out = {
+            name: _hermitian_eigensystem([[_complex(pair) for pair in row] for row in rows])
+            for name, rows in doc.get("observables", {}).items()
+        }
+        grid = _grid_eigensystems(doc["grid"]) if doc.get("grid") is not None else {}
+    for name, eig in grid.items():
+        out.setdefault(name, eig)
+    return out
 
 
 def normalised(pairs) -> list:
@@ -172,3 +214,53 @@ def _report_fields(a, b, phi) -> dict:
         "schrodinger_slack": da**2 * db**2 - comm_half**2 - anti_half**2,
         "area_bound_slack": area - comm_half,
     }
+
+
+def _non_degenerate(values) -> None:
+    """Reject a spectrum the program would cluster: the distances below take one ray per eigenvalue."""
+    gap = min(b - a for a, b in zip(values, values[1:]))
+    if gap < DEGENERACY_GAP * max(1, max(abs(v) for v in values)):
+        raise ValueError("the oracle's distances handle non-degenerate spectra only")
+
+
+def distances_fields(eig_a, eig_b, phi, scale) -> dict:
+    """The fields of `statesphere distances` for exact eigensystems and state.
+
+    With one eigenvector per eigenvalue, the distance from phi to S_A is
+    scale * arccos of the largest |<phi, u>| over A's eigenvectors u, and
+    the distance between S_A and S_B that of the largest |<u, v>|.
+    """
+    with mp.workdps(DIGITS):
+        (values_a, us), (values_b, vs) = eig_a, eig_b
+        _non_degenerate(values_a)
+        _non_degenerate(values_b)
+        scale = mp.mpf(scale)
+        d_phi_a = scale * mp.acos(max(abs(_inner(phi, u)) for u in us))
+        d_phi_b = scale * mp.acos(max(abs(_inner(phi, v)) for v in vs))
+        d_a_b = scale * mp.acos(max(abs(_inner(u, v)) for u in us for v in vs))
+        return {"d_phi_a": d_phi_a, "d_phi_b": d_phi_b, "d_a_b": d_a_b,
+                "slack": d_phi_a + d_phi_b - d_a_b}
+
+
+def flowed(eig, phi, t) -> list:
+    """e^{-iAt} phi = sum_k e^{-i lambda_k t} <phi, v_k> v_k, to DIGITS."""
+    with mp.workdps(DIGITS):
+        values, vectors = eig
+        coeffs = [mp.expj(-lam * t) * _inner(phi, v) for lam, v in zip(values, vectors)]
+        return [mp.fsum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(len(phi))]
+
+
+def default_dt(eig):
+    """evolve's central-difference step 1e-4 / (largest - smallest eigenvalue)."""
+    values = eig[0]
+    with mp.workdps(DIGITS):
+        return mp.mpf("1e-4") / (values[-1] - values[0])
+
+
+def fs_speed(eig, phi, dt):
+    """evolve's fs_speed at phi: arcsin |fwd - <fwd, back> back| / (2 dt), fwd and back phi flowed by +-dt."""
+    with mp.workdps(DIGITS):
+        fwd, back = flowed(eig, phi, dt), flowed(eig, phi, -dt)
+        overlap = _inner(fwd, back)
+        perp = [f - overlap * b for f, b in zip(fwd, back)]
+        return mp.asin(min(_norm(perp), 1)) / (2 * dt)

@@ -6,6 +6,7 @@ from statesphere import (
     InvalidParameter,
     SupportViolation,
     commutator_residual,
+    eigenset_distance,
     expectation,
     gaussian,
     minimal_condition,
@@ -117,6 +118,43 @@ class TestGaussian:
     def test_invalid_sigma(self, grid):
         with pytest.raises(InvalidParameter):
             gaussian(grid, 0.0, 0.0, -1.0)
+
+
+EPS = np.finfo(float).eps
+SPECTRUM_GRIDS = [Grid(16, 8.0), Grid(64, 40.0, hbar=0.7), Grid(256, 40.0)]
+
+
+@pytest.mark.parametrize("g", SPECTRUM_GRIDS, ids=lambda g: f"n={g.n}")
+class TestExactSpectra:
+    """The closed-form spectra of x and p against np.linalg.eigh of their matrices."""
+
+    def test_position_is_bit_for_bit_eigh(self, g):
+        x = position_op(g)
+        vals, vecs = np.linalg.eigh(x.matrix)
+        assert np.array_equal(x.spectrum.eigenvalues, vals)
+        assert np.array_equal(x.spectrum.eigenvectors, vecs)
+
+    def test_momentum_is_an_orthonormal_eigenbasis(self, g):
+        # Backward errors relative to |p|_2, the largest |hbar k|: the
+        # residual also carries the rounding of p's dense matrix.
+        p = momentum_op(g)
+        vals, vecs = p.spectrum.eigenvalues, p.spectrum.eigenvectors
+        norm = float(np.abs(vals).max())
+        assert np.all(np.diff(vals) > 0)
+        assert np.abs(vals - np.linalg.eigvalsh(p.matrix)).max() <= g.n * EPS * norm
+        assert np.linalg.norm(p.matrix @ vecs - vecs * vals, 2) <= g.n * EPS * norm
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(g.n), 2) <= g.n * EPS
+
+    def test_eigenset_distance_is_exact(self, g):
+        # every overlap of a grid delta with a plane wave has modulus 1/sqrt(n)
+        exact = np.arccos(1 / np.sqrt(g.n))
+        assert abs(eigenset_distance(position_op(g), momentum_op(g)) - exact) <= 4 * EPS
+
+    def test_spectra_are_built_on_first_use(self, g):
+        # until then the matrix is the only array an operator holds
+        for op in (position_op(g), momentum_op(g)):
+            arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is op.matrix
 
 
 class TestCommutatorResidual:

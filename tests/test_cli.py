@@ -289,6 +289,32 @@ def test_selftest_input_builds_both_grid_operators(grid_file, monkeypatch, capsy
     assert [c[0] for c in calls] == [1, 1]
 
 
+@pytest.mark.parametrize("problem, argv, eigh_calls", [
+    pytest.param("grid16", ["distances", "--pair", "x", "p"], 0, id="grid-distances"),
+    pytest.param("grid16", ["evolve", "--generator", "p", "--t-max", "1", "--steps", "4"], 0,
+                 id="grid-evolve-p"),
+    pytest.param("grid16", ["evolve", "--generator", "x", "--t-max", "1", "--steps", "4"], 0,
+                 id="grid-evolve-x"),
+    pytest.param("dense4", ["distances", "--pair", "a", "b"], 2, id="dense-distances"),
+    pytest.param("dense4", ["evolve", "--generator", "b", "--t-max", "1", "--steps", "4"], 1,
+                 id="dense-evolve"),
+])
+def test_eigh_runs_only_for_file_observables(tmp_path, monkeypatch, capsys, problem, argv, eigh_calls):
+    # A grid's x and p have closed-form spectra; observables from the file
+    # are decomposed once each by np.linalg.eigh.
+    path = tmp_path / f"{problem}.json"
+    path.write_text(json.dumps(json.loads(GOLDEN.read_text())["problems"][problem]))
+    calls, eigh = [0], np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main([argv[0], "--input", str(path), *argv[1:]]) == 0
+    assert calls[0] == eigh_calls
+
+
 def sigma_x_problem(*missing, **fields):
     """A valid dim-2 problem with observable 'a', the given fields replaced or left out."""
     problem = {"dim": 2, "state": as_pairs([1, 0]),

@@ -7,6 +7,14 @@ scale = max(A.scale, B.scale) and k is the field's degree in the operators
 scale of the generator) and minimize's value (k = 4) and certificate
 (lambda and residual, k = 0), each evaluated at the printed state.
 
+Every field of every `distances` case must lie within n * eps * metric scale
+of the exact value.  Each amplitude evolve prints at time t must lie within
+n * eps * (1 + scale * |t|) of the exact e^{-iAt} phi: an eigenvalue error of
+n * eps * scale turns into a phase error t times as large.  Its fs_speed,
+a central difference over 2 dt, must lie within n * eps / dt of the same
+difference taken exactly at the printed state, since the rounding error of
+either endpoint, about n * eps, is divided by dt.
+
 A change may regenerate golden values only when, over the values it moves,
 the largest error in units of each value's own bound does not grow.  Each
 regeneration is recorded in REGENERATIONS with the values it replaced, and
@@ -25,7 +33,8 @@ from statesphere.cli import load_problem
 from statesphere.uncertainty import CERT_TOL
 
 from oracle import (
-    DIGITS, minimize_fields, normalised, problem_operators, report_fields, std_dev,
+    DIGITS, default_dt, distances_fields, flowed, fs_speed, minimize_fields, normalised,
+    problem_eigensystems, problem_operators, report_fields, std_dev,
 )
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
@@ -110,6 +119,12 @@ def problems(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def eigensystems():
+    """problem -> observable name -> exact (eigenvalues, eigenvectors)."""
+    return {name: problem_eigensystems(doc) for name, doc in GOLDEN["problems"].items()}
+
+
+@pytest.fixture(scope="module")
 def oracle(problems):
     """(problem, A, B) -> (exact report fields, n, scale as the program computes it)."""
     out = {}
@@ -163,20 +178,69 @@ def test_regenerations_moved_closer(oracle, key):
             assert max(now.values()) <= max(before.values()), (now, before)
 
 
-@pytest.mark.parametrize("name, case", params(cases("evolve")))
-def test_evolve_std_dev_within_oracle_bound(problems, name, case):
+@pytest.mark.parametrize("name, case", params(cases("distances")))
+def test_distances_within_oracle_bound(problems, eigensystems, name, case):
     argv = case["argv"]
-    generator = argv[argv.index("--generator") + 1]
-    _, exact_ops, observables = problems[name]
-    obs = observables[generator]
+    metric_scale = float(argv[argv.index("--metric-scale") + 1]) if "--metric-scale" in argv else 1.0
+    a, b = pair(case)
+    phi, _, observables = problems[name]
+    exact = distances_fields(eigensystems[name][a], eigensystems[name][b], phi, metric_scale)
+    fields = printed_fields(case)
+    assert list(fields) == list(exact)
+    errors = {
+        field: bound_units(value, exact[field], observables[a].dim, metric_scale, 1)
+        for field, value in fields.items()
+    }
+    assert max(errors.values()) <= 1.0, errors
+
+
+def evolve_rows(case, n: int):
+    """(t, amplitudes as [re, im] pairs, fs_speed, std_dev) for each printed row."""
     header, *rows = case["stdout"].split("\r\n")[:-1]
-    assert header.split(",")[-1] == "std_dev" and rows
-    errors = []
+    assert header.split(",")[-2:] == ["fs_speed", "std_dev"] and rows
     for row in rows:
         cells = [float(cell) for cell in row.split(",")]
-        phi = normalised(zip(cells[1:2 * obs.dim + 1:2], cells[2:2 * obs.dim + 2:2]))
-        exact = std_dev(exact_ops[generator], phi)
-        errors.append(bound_units(cells[-1], exact, obs.dim, obs.scale, STD_DEV_DEGREE))
+        yield cells[0], list(zip(cells[1:2 * n + 1:2], cells[2:2 * n + 2:2])), cells[-2], cells[-1]
+
+
+def generator(case) -> str:
+    return case["argv"][case["argv"].index("--generator") + 1]
+
+
+@pytest.mark.parametrize("name, case", params(cases("evolve")))
+def test_evolve_std_dev_within_oracle_bound(problems, name, case):
+    _, exact_ops, observables = problems[name]
+    obs = observables[generator(case)]
+    errors = []
+    for _, amplitudes, _, printed in evolve_rows(case, obs.dim):
+        exact = std_dev(exact_ops[generator(case)], normalised(amplitudes))
+        errors.append(bound_units(printed, exact, obs.dim, obs.scale, STD_DEV_DEGREE))
+    assert max(errors) <= 1.0, errors
+
+
+@pytest.mark.parametrize("name, case", params(cases("evolve")))
+def test_evolve_amplitudes_within_oracle_bound(problems, eigensystems, name, case):
+    phi0, _, observables = problems[name]
+    obs = observables[generator(case)]
+    eig = eigensystems[name][generator(case)]
+    errors = []
+    for t, amplitudes, _, _ in evolve_rows(case, obs.dim):
+        with mp.workdps(DIGITS):
+            exact = flowed(eig, phi0, mp.mpf(t))
+            error = max(abs(mp.mpc(*re_im) - z) for re_im, z in zip(amplitudes, exact))
+        errors.append(float(error) / (obs.dim * EPS * (1 + obs.scale * abs(t))))
+    assert max(errors) <= 1.0, errors
+
+
+@pytest.mark.parametrize("name, case", params(cases("evolve")))
+def test_evolve_fs_speed_within_oracle_bound(problems, eigensystems, name, case):
+    n = problems[name][2][generator(case)].dim
+    eig = eigensystems[name][generator(case)]
+    dt = default_dt(eig)
+    errors = []
+    for _, amplitudes, printed, _ in evolve_rows(case, n):
+        exact = fs_speed(eig, normalised(amplitudes), dt)
+        errors.append(bound_units(printed, exact, n, 1 / float(dt), 1))
     assert max(errors) <= 1.0, errors
 
 

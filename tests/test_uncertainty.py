@@ -156,8 +156,13 @@ class TestBracketTerms:
         monkeypatch.setattr(
             uncertainty, "symplectic", lambda xi, eta: symplectic(xi, eta) + 1e-6
         )
-        with pytest.raises(GeometryError, match="commutator term disagrees"):
+        with pytest.raises(GeometryError) as err:
             relations_report(sx, sy, phi)
+        # the message names the two routes the report computes
+        assert str(err.value) == (
+            "commutator term disagrees between the second products "
+            "A_c(B_c phi), B_c(A_c phi) and the symplectic form of X, Y"
+        )
 
 
 def anti_hermitian(m: np.ndarray, residual: float) -> np.ndarray:
