@@ -15,6 +15,7 @@ from .errors import (
 )
 from .evolution import FlowTrace, default_dt, flow, projected_speed, trace_flow
 from .hilbert import (
+    EigenSet,
     Observable,
     SpectralDecomposition,
     State,
@@ -33,7 +34,6 @@ from .optimize import (
     riemannian_grad,
 )
 from .projective import (
-    EigenSet,
     TriangleReport,
     dist_to_eigenset,
     eigenset,

@@ -106,8 +106,10 @@ def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:
     L >= 10 sigma and |x0| <= L/2 - 5 sigma keep the periodic wrap-around
     from corrupting the second moments.
     """
-    if sigma <= 0:
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(x0) and math.isfinite(p0)):
+        raise InvalidParameter(f"x0 and p0 must be finite, got x0={x0}, p0={p0}")
+    if not 0 < sigma < math.inf:  # false for NaN
+        raise InvalidParameter(f"sigma must be positive and finite, got {sigma}")
     if g.length < 10 * sigma or abs(x0) > g.length / 2 - 5 * sigma:
         raise SupportViolation(
             f"need L >= 10 sigma and |x0| <= L/2 - 5 sigma "
@@ -121,11 +123,16 @@ def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:
 def commutator_residual(g: Grid, phi: State) -> float:
     """Norm of ([x, p] - i hbar I) phi, from x(p phi) - p(x phi) - i hbar phi.
 
+    p is applied as F^dagger diag(hbar k) F by one FFT pair, with no matrix.
     Small only for states concentrated away from the boundary in both
     position and momentum; order hbar n / L for boundary-supported states.
     """
     x = g.points
-    p = momentum_op(g).matrix
+    hbar_k = g.hbar * _wavenumbers(g)
+
+    def p(v):
+        return np.fft.ifft(hbar_k * np.fft.fft(v))
+
     v = phi.amplitudes
-    c = x * (p @ v) - p @ (x * v) - 1j * g.hbar * v
+    c = x * p(v) - p(x * v) - 1j * g.hbar * v
     return float(np.linalg.norm(c))

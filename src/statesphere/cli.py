@@ -113,7 +113,7 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, _Observables]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, an overlong integer, too deep
             raise MalformedInput(str(exc)) from exc
     raw = _object(doc, "problem file")
     dim = _number(_required(raw, "dim", "dim"), "dim", integer=True)

@@ -103,6 +103,30 @@ class Observable:
 
 
 @dataclass(frozen=True)
+class EigenSet:
+    """Mutually orthogonal eigenspaces: an observable's, or the one ray of a state.
+
+    The orthonormal bases of the eigenspaces sit side by side in the columns
+    of `basis`: eigenspace k spans the columns from starts[k] up to the next
+    start and has eigenvalue values[k].
+    """
+
+    values: np.ndarray
+    starts: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def widths(self) -> np.ndarray:
+        """Dimension of each eigenspace."""
+        return np.diff(self.starts, append=self.basis.shape[1])
+
+    @property
+    def eigenspaces(self) -> list:
+        """(value, basis) pairs, one per eigenspace."""
+        return list(zip(self.values.tolist(), np.split(self.basis, self.starts[1:], axis=1)))
+
+
+@dataclass(frozen=True)
 class SpectralDecomposition:
     """Ascending eigenvalues with orthonormal eigenvector columns."""
 
@@ -114,30 +138,25 @@ class SpectralDecomposition:
         """V^dagger, the conjugate transpose of the eigenvector columns V."""
         return self.eigenvectors.conj().T
 
-    def clusters(self) -> tuple[np.ndarray, np.ndarray]:
-        """Near-degenerate eigenvalues grouped into eigenspaces, as (values, starts).
+    @cached_property
+    def eigenset(self) -> EigenSet:
+        """Near-degenerate eigenvalues grouped into eigenspaces, once.
 
         Neighbouring eigenvalues closer than DEGENERACY_GAP relative to the
-        largest magnitude share an eigenspace.  Eigenspace k spans the
-        eigenvector columns from starts[k] up to the next start, and
-        values[k] is the mean of its eigenvalues.
+        largest magnitude share an eigenspace, whose value is the mean of
+        its eigenvalues.  Consumers that need basis-independent quantities
+        (distances to eigenstate sets) must use these eigenspaces, never
+        the raw eigenvector columns.
         """
         vals = self.eigenvalues
         gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
         starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
         values = np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
-        return values, starts
+        return EigenSet(values, starts, self.eigenvectors)
 
-    def eigenspaces(self):
-        """Group near-degenerate eigenvalues into eigenspaces.
-
-        Returns a list of (eigenvalue, basis) pairs where basis columns span
-        the clustered eigenspace.  Consumers that need basis-independent
-        quantities (distances to eigenstate sets) must use these clusters,
-        never the raw eigenvector columns.
-        """
-        values, starts = self.clusters()
-        return list(zip(values.tolist(), np.split(self.eigenvectors, starts[1:], axis=1)))
+    def eigenspaces(self) -> list:
+        """(eigenvalue, basis) pairs of the clustered eigenspaces."""
+        return self.eigenset.eigenspaces
 
 
 def _hermitian_residual(m: np.ndarray) -> float:

@@ -2,9 +2,10 @@
 
 Distances carry an explicit `scale` multiplier: the geodesic distance
 arccos|<phi, psi>| at scale 1 ranges over [0, pi/2]; the spin-1/2 bound
-quoted as pi/2 in the literature corresponds to scale 2.  Distances to a
-degenerate observable's eigenstate set are measured against eigenspaces
-(projection norms), never against a particular eigenbasis.
+quoted as pi/2 in the literature corresponds to scale 2.  Every distance is
+one distance between sets of rays: a state is the one-ray set of its
+projector's eigenspace, and a degenerate observable's eigenstate set is
+measured through its eigenspaces, never through a particular eigenbasis.
 """
 
 from __future__ import annotations
@@ -15,31 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .hilbert import Observable, State, inner, spectral
-
-
-@dataclass(frozen=True)
-class EigenSet:
-    """Mutually orthogonal eigenspaces of an observable.
-
-    The orthonormal bases of the eigenspaces sit side by side in the columns
-    of `basis`: eigenspace k spans the columns from starts[k] up to the next
-    start and has eigenvalue values[k].
-    """
-
-    values: np.ndarray
-    starts: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def widths(self) -> np.ndarray:
-        """Dimension of each eigenspace."""
-        return np.diff(self.starts, append=self.basis.shape[1])
-
-    @property
-    def eigenspaces(self) -> list:
-        """(value, basis) pairs, one per eigenspace."""
-        return list(zip(self.values.tolist(), np.split(self.basis, self.starts[1:], axis=1)))
+from .hilbert import EigenSet, Observable, State, spectral
 
 
 @dataclass(frozen=True)
@@ -60,46 +37,22 @@ def _require_scale(scale: float) -> None:
         raise InvalidParameter(f"scale must be positive and finite, got {scale}")
 
 
-def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
-    """Geodesic distance between the rays of phi and psi."""
-    if phi.dim != psi.dim:
-        raise DimensionMismatch(f"state dims {phi.dim} != {psi.dim}")
-    _require_scale(scale)
-    overlap = min(abs(inner(phi.amplitudes, psi.amplitudes)), 1.0)
-    return scale * float(np.arccos(overlap))
+def _ray(phi: State) -> EigenSet:
+    """The ray of phi, the one eigenspace of |phi><phi| with eigenvalue 1."""
+    return EigenSet(np.ones(1), np.zeros(1, dtype=int), phi.amplitudes[:, None])
 
 
-def eigenset(A: Observable) -> EigenSet:
-    """Eigenspaces of A with near-degenerate eigenvalues clustered."""
-    dec = spectral(A)
-    return EigenSet(*dec.clusters(), dec.eigenvectors)
+def _set_distance(rows: EigenSet, cols: EigenSet, scale: float) -> float:
+    """scale * arccos of the largest cosine of a principal angle between the sets.
 
-
-def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
-    """Distance from the ray of phi to the set of eigenstates of A.
-
-    Minimum over eigenspaces P of scale * arccos(|P phi|); zero exactly when
-    phi lies in some eigenspace.  One projection onto the whole eigenbasis
-    gives every |P phi|^2 as a sum over the eigenspace's columns.
+    For each eigenspace pair (P, Q) the closest rays are separated by the
+    smallest principal angle, arccos of the largest singular value of the
+    block P^H Q of the one overlap matrix rows.basis^H cols.basis (Bjorck &
+    Golub, Math. Comp. 27, 1973).  Blocks of one shape are gathered into a
+    stack and reduced together, so Python iterates over the distinct
+    (width, width) shapes, never over eigenspace pairs.
     """
-    _require_scale(scale)
-    es = eigenset(A)
-    if es.basis.shape[0] != phi.dim:
-        raise DimensionMismatch("eigenspace and state dims differ")
-    coeffs = es.basis.conj().T @ phi.amplitudes
-    weights = np.add.reduceat(coeffs.real**2 + coeffs.imag**2, es.starts)
-    best = min(float(np.sqrt(weights.max())), 1.0)
-    return scale * float(np.arccos(best))
-
-
-def _largest_block_singular_value(overlap: np.ndarray, rows: EigenSet, cols: EigenSet) -> float:
-    """Largest singular value among the eigenspace blocks of an overlap matrix.
-
-    The block of overlap = V_rows^H V_cols at eigenspaces (P, Q) is P^H Q.
-    Blocks of one shape are gathered into a stack and reduced together, so
-    Python iterates over the distinct (width, width) shapes, never over
-    eigenspace pairs.
-    """
+    overlap = rows.basis.conj().T @ cols.basis
     row_widths, col_widths = rows.widths, cols.widths
     best = 0.0
     for wr in np.flatnonzero(np.bincount(row_widths)):
@@ -113,26 +66,44 @@ def _largest_block_singular_value(overlap: np.ndarray, rows: EigenSet, cols: Eig
             else:
                 smax = np.linalg.svd(blocks, compute_uv=False)[..., 0].max()
             best = max(best, float(smax))
-    return best
+    return scale * float(np.arccos(min(best, 1.0)))
+
+
+def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
+    """Geodesic distance between the rays of phi and psi."""
+    if phi.dim != psi.dim:
+        raise DimensionMismatch(f"state dims {phi.dim} != {psi.dim}")
+    _require_scale(scale)
+    return _set_distance(_ray(psi), _ray(phi), scale)
+
+
+def eigenset(A: Observable) -> EigenSet:
+    """Eigenspaces of A with near-degenerate eigenvalues clustered, built once."""
+    return spectral(A).eigenset
+
+
+def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
+    """Distance from the ray of phi to the set of eigenstates of A.
+
+    Minimum over eigenspaces P of scale * arccos(|P^H phi|); zero exactly
+    when phi lies in some eigenspace.
+    """
+    if A.dim != phi.dim:
+        raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
+    _require_scale(scale)
+    return _set_distance(eigenset(A), _ray(phi), scale)
 
 
 def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float:
     """Distance between the eigenstate sets of A and B.
 
-    For each eigenspace pair the closest rays are separated by the smallest
-    principal angle, arccos of the largest singular value of the basis
-    overlap matrix; the set distance is the minimum over all pairs.  Zero
-    exactly when A and B share an eigenvector.  Every pair's overlap is a
-    block of the one matrix V_B^H V_A (Bjorck & Golub, Math. Comp. 27, 1973).
+    The minimum over eigenspace pairs of their smallest principal angle;
+    zero exactly when A and B share an eigenvector.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     _require_scale(scale)
-    es_a = eigenset(A)
-    es_b = eigenset(B)
-    overlap = es_b.basis.conj().T @ es_a.basis
-    best = min(_largest_block_singular_value(overlap, es_b, es_a), 1.0)
-    return scale * float(np.arccos(best))
+    return _set_distance(eigenset(B), eigenset(A), scale)
 
 
 def triangle_report(

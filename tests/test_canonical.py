@@ -116,8 +116,14 @@ class TestGaussian:
             gaussian(grid, 18.0, 0.0, 1.0)
 
     def test_invalid_sigma(self, grid):
-        with pytest.raises(InvalidParameter):
-            gaussian(grid, 0.0, 0.0, -1.0)
+        # sigma outside (0, inf), or a non-finite centre or boost
+        for x0, p0, sigma in [
+            (0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (0.0, 0.0, np.nan), (0.0, 0.0, np.inf),
+            (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0), (0.0, np.nan, 1.0), (0.0, np.inf, 1.0),
+            (0.0, -np.inf, 1.0),
+        ]:
+            with pytest.raises(InvalidParameter):
+                gaussian(grid, x0, p0, sigma)
 
 
 EPS = np.finfo(float).eps

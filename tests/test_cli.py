@@ -367,6 +367,8 @@ EXIT_CODE_TABLE = [
                  1, id="not-utf-8"),
     pytest.param(REPORT, b'{"dim": 1%s, "state": [[1, 0], [0, 0]]}' % (b"0" * 5000), 1,
                  id="integer-too-long"),
+    pytest.param(REPORT, b'{"dim": 2, "state": %s%s}' % (b"[" * 100_000, b"]" * 100_000), 1,
+                 id="nested-too-deep"),
 ]
 
 

@@ -31,6 +31,9 @@ def with_widths(rng, widths):
 
 
 MIXED_WIDTHS = [1, 2, 3, 3, 1, 2, 2, 1, 3]
+# An eigenspace of width >= 9: numpy sums its squared overlaps pairwise, not
+# one after another.
+WIDE_WIDTHS = [2, 1, 11, 3, 1]
 
 
 def pairwise_set_distance(a, b):
@@ -133,18 +136,21 @@ class TestDistToEigenset:
 
     def test_degenerate_spectra_match_definition(self):
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            a = with_widths(rng, MIXED_WIDTHS)
-            assert eigenset(a).widths.tolist() == MIXED_WIDTHS
-            for _ in range(4):
-                phi = random_state(rng, a.dim)
-                assert abs(dist_to_eigenset(a, phi) - per_space_distance(a, phi)) <= 1e-12
-            inside = normalize(eigenset(a).eigenspaces[2][1] @ rng.standard_normal(3))
-            assert dist_to_eigenset(a, inside) == pytest.approx(0.0, abs=1e-7)
+        for widths in (MIXED_WIDTHS, WIDE_WIDTHS):
+            for _ in range(5):
+                a = with_widths(rng, widths)
+                assert eigenset(a).widths.tolist() == widths
+                for _ in range(4):
+                    phi = random_state(rng, a.dim)
+                    assert abs(dist_to_eigenset(a, phi) - per_space_distance(a, phi)) <= 1e-12
+                inside = normalize(eigenset(a).eigenspaces[2][1] @ rng.standard_normal(widths[2]))
+                assert dist_to_eigenset(a, inside) == pytest.approx(0.0, abs=1e-7)
 
-    def test_dimension_mismatch(self, sz):
+    def test_dimension_mismatch(self, sz, monkeypatch):
+        # checked before any eigensolve
+        monkeypatch.setattr(np.linalg, "eigh", None)
         with pytest.raises(DimensionMismatch):
-            dist_to_eigenset(sz, validate_state([1, 0, 0]))
+            dist_to_eigenset(Observable(sz.matrix), validate_state([1, 0, 0]))
 
     def test_zero_iff_vanishing_deviation(self):
         rng = np.random.default_rng(5)
@@ -177,14 +183,14 @@ class TestEigensetDistance:
         )
         assert d == pytest.approx(np.pi / 4, abs=1e-10)
 
-
     def test_degenerate_spectra_match_definition(self):
         rng = np.random.default_rng(9)
-        for _ in range(5):
-            a = with_widths(rng, MIXED_WIDTHS)
-            b = with_widths(rng, MIXED_WIDTHS[::-1])
-            assert abs(eigenset_distance(a, b) - pairwise_set_distance(a, b)) <= 1e-12
-            assert abs(eigenset_distance(b, a) - pairwise_set_distance(b, a)) <= 1e-12
+        for widths in (MIXED_WIDTHS, WIDE_WIDTHS):
+            for _ in range(5):
+                a = with_widths(rng, widths)
+                b = with_widths(rng, widths[::-1])
+                assert abs(eigenset_distance(a, b) - pairwise_set_distance(a, b)) <= 1e-12
+                assert abs(eigenset_distance(b, a) - pairwise_set_distance(b, a)) <= 1e-12
 
     def test_grid_pair_matches_definition(self):
         g = Grid(32, 40.0)
@@ -208,6 +214,12 @@ class TestEigensetDistance:
         assert abs(eigenset_distance(a, b) - expected) <= 1e-12
         # 12 x 12 eigenspace pairs fall into 3 x 3 (width_B, width_A) groups
         assert len(calls) <= 9
+
+
+class TestEigenSet:
+    def test_built_once_per_observable(self):
+        a = with_widths(np.random.default_rng(11), MIXED_WIDTHS)
+        assert eigenset(a) is eigenset(a)
 
 
 class TestTriangleReport:
