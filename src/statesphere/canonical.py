@@ -8,23 +8,22 @@ finite dimension (the commutator is traceless, i hbar n I is not), but for
 states concentrated away from the box boundary the residual is tiny, and
 discretized Gaussians reproduce dx dp = hbar/2 to 1e-6 at n = 512.
 
-Both operators know their spectra in closed form, so their `spectrum` never
-calls np.linalg.eigh: x has the grid points with the identity basis, and p
-has hbar k in ascending order with the plane-wave columns of F^dagger.
+Both operators are given their spectra in closed form, so their `spectrum`
+never calls np.linalg.eigh: x has the grid points with the identity basis,
+and p has hbar k in ascending order with the plane-wave columns of F^dagger.
 Observables read from a problem file take the eigh route.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameter, SupportViolation
-from .hilbert import Observable, SpectralDecomposition, State, normalize
+from .hilbert import Observable, State, normalize
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,6 @@ class Grid:
     @property
     def points(self) -> np.ndarray:
         return -self.length / 2 + np.arange(self.n) * (self.length / self.n)
-
-
-@dataclass(frozen=True)
-class GridObservable(Observable):
-    """A grid operator whose eigendecomposition is known in closed form.
-
-    `eigen(grid)` gives the ascending eigenvalues and orthonormal
-    eigenvector columns.  They are built the first time `spectrum` is read,
-    so until then the matrix is the only array held.
-    """
-
-    grid: Grid
-    eigen: Callable[[Grid], tuple]
-
-    @cached_property
-    def spectrum(self) -> SpectralDecomposition:
-        return SpectralDecomposition(*self.eigen(self.grid))
 
 
 def _wavenumbers(g: Grid) -> np.ndarray:
@@ -88,7 +70,7 @@ def _momentum_eigen(g: Grid) -> tuple:
 
 def position_op(g: Grid) -> Observable:
     """Diagonal multiplication by the grid points."""
-    return GridObservable(np.diag(g.points.astype(complex)), g, _position_eigen)
+    return Observable(np.diag(g.points.astype(complex)), partial(_position_eigen, g))
 
 
 def momentum_op(g: Grid) -> Observable:
@@ -96,7 +78,7 @@ def momentum_op(g: Grid) -> Observable:
     j = np.arange(g.n)
     f = np.exp(-2j * np.pi * np.outer(j, j) / g.n) / np.sqrt(g.n)
     k = _wavenumbers(g)
-    return GridObservable(f.conj().T @ (g.hbar * k[:, None] * f), g, _momentum_eigen)
+    return Observable(f.conj().T @ (g.hbar * k[:, None] * f), partial(_momentum_eigen, g))
 
 
 def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:

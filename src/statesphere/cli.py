@@ -9,6 +9,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,10 +21,10 @@ from . import serialize
 from .canonical import Grid, momentum_op, position_op
 from .errors import DimensionMismatch, GeometryError, InvalidParameter, MalformedInput
 from .evolution import trace_flow
-from .hilbert import Observable, State, validate_state
+from .hilbert import Observable, State, inner, spectral, validate_state
 from .optimize import minimize_multistart
 from .projective import triangle_report
-from .realify import metric_g, parallelogram_area, symplectic
+from .realify import metric_g
 from .uncertainty import centered_field, relations_report
 
 
@@ -157,8 +158,7 @@ def _emit(fields: dict, fmt: str) -> None:
 
 def cmd_report(args) -> int:
     state, observables = load_problem(args.input, args.tol)
-    a = _resolve(observables, args.pair[0])
-    b = _resolve(observables, args.pair[1])
+    a, b = (_resolve(observables, name) for name in args.pair)
     _emit(relations_report(a, b, state).to_dict(), args.format)
     return 0
 
@@ -177,16 +177,14 @@ def cmd_evolve(args) -> int:
 
 def cmd_distances(args) -> int:
     state, observables = load_problem(args.input, args.tol)
-    a = _resolve(observables, args.pair[0])
-    b = _resolve(observables, args.pair[1])
+    a, b = (_resolve(observables, name) for name in args.pair)
     _emit(triangle_report(a, b, state, args.metric_scale).to_dict(), args.format)
     return 0
 
 
 def cmd_minimize(args) -> int:
     state, observables = load_problem(args.input, args.tol)
-    a = _resolve(observables, args.pair[0])
-    b = _resolve(observables, args.pair[1])
+    a, b = (_resolve(observables, name) for name in args.pair)
     result = minimize_multistart(
         a,
         b,
@@ -220,19 +218,22 @@ def cmd_selftest(args) -> int:
         n = dims[i % len(dims)]
         a = _random_hermitian(rng, n)
         b = _random_hermitian(rng, n)
-        phi = validate_state(
-            rng.standard_normal(n) + 1j * rng.standard_normal(n), tol=np.inf
-        )
+        phi = validate_state(rng.standard_normal(n) + 1j * rng.standard_normal(n), tol=np.inf)
         rep = relations_report(a, b, phi)
-        x = centered_field(a, phi)
-        y = centered_field(b, phi)
+        x, y, v = centered_field(a, phi), centered_field(b, phi), phi.amplitudes
+        # The last two checks recompute a report field by a route the report
+        # does not take: the full matrices' commutator, and A's eigenbasis.
+        commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
+        dec = spectral(a)
+        weights = np.abs(dec.adjoint @ v) ** 2
+        deviations = dec.eigenvalues - weights @ dec.eigenvalues
         ok = (
             abs(rep.identity_residual) <= 1e-10
             and rep.robertson_slack >= -1e-10
             and rep.area_bound_slack >= -1e-10
             and abs(rep.anticommutator_half - abs(metric_g(x, y))) <= 1e-10
-            and abs(rep.commutator_half - abs(symplectic(x, y))) <= 1e-10
-            and abs(rep.area - parallelogram_area(x, y)) <= 1e-10
+            and abs(rep.commutator_half - 0.5 * abs(inner(commutator @ v, v))) <= 1e-10
+            and abs(rep.delta_a - math.sqrt(weights @ deviations**2)) <= 1e-10
         )
         if not ok:
             raise GeometryError(f"selftest invariant violated at instance {i} (n={n})")
@@ -244,7 +245,9 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="statesphere",
         description="Uncertainty geometry on the sphere of states",

@@ -10,6 +10,7 @@ in this package assumes this one.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,10 +67,12 @@ class Observable:
 
     The scale (of the input) and the spectrum are computed once, on first
     use, and cached; the matrix must not be mutated in place after
-    construction.
+    construction.  `eigen`, where given (grid x and p), returns the spectrum
+    in closed form as (eigenvalues, eigenvectors); others take np.linalg.eigh.
     """
 
     matrix: np.ndarray
+    eigen: Callable[[], tuple] | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -98,7 +101,7 @@ class Observable:
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
-        vals, vecs = np.linalg.eigh(self.matrix)
+        vals, vecs = np.linalg.eigh(self.matrix) if self.eigen is None else self.eigen()
         return SpectralDecomposition(vals, vecs)
 
 
@@ -116,9 +119,22 @@ class EigenSet:
     basis: np.ndarray
 
     @property
+    def rays(self) -> bool:
+        """Whether every eigenspace is one ray."""
+        return self.values.size == self.basis.shape[1]
+
+    @cached_property
     def widths(self) -> np.ndarray:
         """Dimension of each eigenspace."""
         return np.diff(self.starts, append=self.basis.shape[1])
+
+    @cached_property
+    def groups(self) -> list:
+        """(width, columns) per distinct width: row k of columns spans its k-th eigenspace."""
+        if self.rays:
+            return [(1, self.starts[:, None])]
+        w = self.widths
+        return [(k, self.starts[w == k, None] + np.arange(k)) for k in np.unique(w)]
 
     @property
     def eigenspaces(self) -> list:

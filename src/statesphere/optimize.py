@@ -91,20 +91,13 @@ def _norm(v: np.ndarray) -> float:
     return peak * np.sqrt(np.vdot(scaled, scaled).real)
 
 
-def _evaluate(A: Observable, B: Observable, v: np.ndarray):
-    """Objective, tangent gradient, gradient norm, variances and means at v.
-
-    The gradient is assembled from the Euclidean gradient with respect to
-    the real and imaginary parts of v, then stripped of its complex
-    component along v.
-    """
-    variances, (av, bv), means = _variances(A, B, v)
-    (va, vb), (ma, mb) = variances, means
+def _gradient(A: Observable, B: Observable, v: np.ndarray, variances, products, means):
+    """riemannian_grad at v, from what _variances(A, B, v) returns."""
+    (va, vb), (av, bv), (ma, mb) = variances, products, means
     grad_a = 2.0 * (A.matrix @ av) - 4.0 * ma * av
     grad_b = 2.0 * (B.matrix @ bv) - 4.0 * mb * bv
     xi = vb * grad_a + va * grad_b
-    g = xi - np.vdot(v, xi) * v
-    return va * vb, g, _norm(g), variances, means
+    return xi - np.vdot(v, xi) * v
 
 
 def objective(A: Observable, B: Observable, v) -> float:
@@ -121,7 +114,7 @@ def riemannian_grad(A: Observable, B: Observable, phi: State) -> np.ndarray:
     phi (which removes both the radial and the phase-fibre directions).
     """
     _check_dims(A, B, phi)
-    return _evaluate(A, B, phi.amplitudes)[1]
+    return _gradient(A, B, phi.amplitudes, *_variances(A, B, phi.amplitudes))
 
 
 def _check_dims(A: Observable, B: Observable, phi: State) -> None:
@@ -187,11 +180,12 @@ def _minimize(A, B, starts, max_iter, grad_tol) -> list:
 def _search(A, B, squares, phi, max_iter, tol) -> OptimizeResult:
     """minimize_product from phi, with squares = (A^2, B^2) and the absolute gradient tolerance."""
     v = phi.amplitudes
-    f, _, gn, variances, means = _evaluate(A, B, v)
+    variances, products, means = _variances(A, B, v)
+    f = variances[0] * variances[1]
     trace = [float(f)]
     stop, steps = "iterations", max_iter
     for it in range(max_iter):
-        if gn <= tol:
+        if _norm(_gradient(A, B, v, variances, products, means)) <= tol:
             stop, steps = "gradient", it
             break
         base, t = v, 1.0
@@ -199,10 +193,11 @@ def _search(A, B, squares, phi, max_iter, tol) -> OptimizeResult:
         for _ in range(MAX_DOUBLINGS + 1):
             w = base + t * step
             w = w / _norm(w)
-            fw, _, gnw, var_w, mean_w = _evaluate(A, B, w)
+            var_w, prod_w, mean_w = _variances(A, B, w)
+            fw = var_w[0] * var_w[1]
             if not fw < f:
                 break
-            v, f, gn, variances, means = w, fw, gnw, var_w, mean_w
+            v, f, variances, products, means = w, fw, var_w, prod_w, mean_w
             t *= 2.0
         if v is base:
             stop, steps = "floor", it + 1

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter
 from .hilbert import EigenSet, Observable, State, spectral
 
+_RAY_VALUES, _RAY_STARTS = np.ones(1), np.zeros(1, dtype=int)
+
 
 @dataclass(frozen=True)
 class TriangleReport:
@@ -39,7 +41,7 @@ def _require_scale(scale: float) -> None:
 
 def _ray(phi: State) -> EigenSet:
     """The ray of phi, the one eigenspace of |phi><phi| with eigenvalue 1."""
-    return EigenSet(np.ones(1), np.zeros(1, dtype=int), phi.amplitudes[:, None])
+    return EigenSet(_RAY_VALUES, _RAY_STARTS, phi.amplitudes[:, None])
 
 
 def _set_distance(rows: EigenSet, cols: EigenSet, scale: float) -> float:
@@ -53,12 +55,13 @@ def _set_distance(rows: EigenSet, cols: EigenSet, scale: float) -> float:
     (width, width) shapes, never over eigenspace pairs.
     """
     overlap = rows.basis.conj().T @ cols.basis
-    row_widths, col_widths = rows.widths, cols.widths
+    if rows.rays and cols.rays:
+        # each block is one entry, whose modulus is its singular value: no gather
+        best = math.sqrt((overlap.real**2 + overlap.imag**2).max())
+        return scale * float(np.arccos(min(best, 1.0)))
     best = 0.0
-    for wr in np.flatnonzero(np.bincount(row_widths)):
-        r = rows.starts[row_widths == wr, None] + np.arange(wr)
-        for wc in np.flatnonzero(np.bincount(col_widths)):
-            c = cols.starts[col_widths == wc, None] + np.arange(wc)
+    for wr, r in rows.groups:
+        for wc, c in cols.groups:
             blocks = overlap[r[:, None, :, None], c[None, :, None, :]]
             if wr == 1 or wc == 1:
                 # a single row or column has its length as singular value

@@ -27,6 +27,14 @@ def random_hermitian(rng, n, unit_entries=True):
     return Observable(h)
 
 
+def hermitian(parts: np.ndarray, size: float) -> Observable:
+    """The Hermitian part of (re, im) entries, scaled to largest entry `size` unless zero."""
+    m = parts[..., 0] + 1j * parts[..., 1]
+    h = m + m.conj().T
+    peak = np.abs(h).max()
+    return Observable(h / peak * size if peak > 0 else h)
+
+
 def random_state(rng, n):
     return normalize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 

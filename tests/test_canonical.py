@@ -4,6 +4,7 @@ import pytest
 from statesphere import (
     Grid,
     InvalidParameter,
+    Observable,
     SupportViolation,
     commutator_residual,
     eigenset_distance,
@@ -157,8 +158,10 @@ class TestExactSpectra:
         assert abs(eigenset_distance(position_op(g), momentum_op(g)) - exact) <= 4 * EPS
 
     def test_spectra_are_built_on_first_use(self, g):
-        # until then the matrix is the only array an operator holds
+        # until then the matrix is the only array an operator holds; the
+        # closed form rides on a plain Observable, not a subclass
         for op in (position_op(g), momentum_op(g)):
+            assert type(op) is Observable and op.eigen is not None
             arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
             assert len(arrays) == 1 and arrays[0] is op.matrix
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from statesphere import Grid, cli, gaussian
+from statesphere import Grid, cli, gaussian, relations_report
 from statesphere.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -236,6 +237,37 @@ class TestSelftest:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(problem))
         assert main(["selftest", "--input", str(path)]) == 2
+
+
+# Each report field one selftest check reads, with a value ten tolerances on
+# the wrong side of that check.  No other check reads the field, so a failure
+# can come from its check alone.
+SELFTEST_PERTURBATIONS = [
+    ("identity_residual", lambda v: v + 1e-9),
+    ("robertson_slack", lambda v: -1e-9),
+    ("area_bound_slack", lambda v: -1e-9),
+    ("anticommutator_half", lambda v: v + 1e-9),
+    ("commutator_half", lambda v: v + 1e-9),
+    ("delta_a", lambda v: v - 1e-9),
+]
+
+
+@pytest.mark.parametrize("field, perturb", SELFTEST_PERTURBATIONS,
+                         ids=[field for field, _ in SELFTEST_PERTURBATIONS])
+def test_each_selftest_check_fires(field, perturb, monkeypatch, capsys):
+    argv = ["selftest", "--n-random", "5", "--seed", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    def perturbed(*args):
+        rep = relations_report(*args)
+        return replace(rep, **{field: perturb(getattr(rep, field))})
+
+    monkeypatch.setattr(cli, "relations_report", perturbed)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: selftest invariant violated at instance 0 (n=2)\n"
 
 
 def test_grid_file_defining_p_builds_no_momentum_op(grid_file, monkeypatch):

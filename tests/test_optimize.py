@@ -31,7 +31,7 @@ from statesphere import (
 )
 from statesphere.hilbert import centered
 
-from conftest import random_hermitian, random_state
+from conftest import hermitian, random_hermitian, random_state
 from oracle import minimize_fields, normalised
 
 EPS = np.finfo(float).eps
@@ -214,28 +214,38 @@ class TestMinimizeProduct:
 
     def test_step_count(self, monkeypatch):
         # Measured: every random restart on x,p is certified after one
-        # eigen-step and stops on the gradient test, after 3 evaluations
-        # (the start, the plain step, and one rejected doubling).  The bounds
-        # below allow twice that.
+        # eigen-step and stops on the gradient test, after 3 objective
+        # evaluations (the start, the plain step, and one rejected doubling)
+        # and 2 gradients (at the start and at the accepted point).  The
+        # objective bound allows twice that; the gradient is formed once per
+        # eigen-step, at the point stepped from, and once more for the test
+        # that stops the run.
         g = Grid(64, 40.0)
-        runs, evaluations = [], []
-        evaluate, search = optimize._evaluate, optimize._search
+        runs, objectives, gradients = [], [], []
+        variances, gradient, search = optimize._variances, optimize._gradient, optimize._search
 
-        def counted(*args):
-            evaluations[-1] += 1
-            return evaluate(*args)
+        def counted_variances(*args):
+            objectives[-1] += 1
+            return variances(*args)
+
+        def counted_gradient(*args):
+            gradients[-1] += 1
+            return gradient(*args)
 
         def recorded(*args):
-            evaluations.append(0)
+            objectives.append(0)
+            gradients.append(0)
             runs.append(search(*args))
             return runs[-1]
 
-        monkeypatch.setattr(optimize, "_evaluate", counted)
+        monkeypatch.setattr(optimize, "_variances", counted_variances)
+        monkeypatch.setattr(optimize, "_gradient", counted_gradient)
         monkeypatch.setattr(optimize, "_search", recorded)
         minimize_multistart(position_op(g), momentum_op(g), restarts=8, seed=1)
         assert len(runs) == 8
         assert all(res.iterations <= 2 for res in runs)
-        assert all(count <= 6 for count in evaluations)
+        assert all(0 < count <= 6 for count in objectives)
+        assert all(0 < count <= res.iterations + 1 for count, res in zip(gradients, runs))
         for res in runs:
             assert np.all(np.diff(res.objective_trace) < 0)
             assert res.stop_reason == "gradient" and res.converged
@@ -398,14 +408,6 @@ def exact_product(a: Observable, b: Observable, v) -> float:
     return minimize_fields(*exact, normalised([(z.real, z.imag) for z in v]), 0)["value"]
 
 
-def hermitian(parts: np.ndarray, size: float) -> Observable:
-    """The Hermitian part of (re, im) entries, scaled to largest entry `size` unless zero."""
-    m = parts[..., 0] + 1j * parts[..., 1]
-    h = m + m.conj().T
-    peak = np.abs(h).max()
-    return Observable(h / peak * size if peak > 0 else h)
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(2, 16), log_size=st.floats(-3, 3))
 def test_eigenstep_never_raises_the_product(data, n, log_size):
@@ -422,7 +424,7 @@ def test_eigenstep_never_raises_the_product(data, n, log_size):
     v = data.draw(arrays(float, (n, 2), elements=unit)) @ [1, 1j]
     assume(np.linalg.norm(v) > 1e-3)
     v = normalize(v).amplitudes
-    _, _, _, variances, means = optimize._evaluate(a, b, v)
+    variances, _, means = optimize._variances(a, b, v)
     assume(max(variances) > 0.0)
     squares = (a.matrix @ a.matrix, b.matrix @ b.matrix)
     psi = optimize._eigenstep(a, b, squares, v, variances, means)
