@@ -8,6 +8,8 @@ finite dimension (the commutator is traceless, i hbar n I is not), but for
 states concentrated away from the box boundary the residual is tiny, and
 discretized Gaussians reproduce dx dp = hbar/2 to 1e-6 at n = 512.
 
+p's matrix is the circulant whose first column is one inverse FFT of
+hbar k, filled in O(n^2) and exactly Hermitian, so it is stored as built.
 Both operators are given their spectra in closed form, so their `spectrum`
 never calls np.linalg.eigh: x has the grid points with the identity basis,
 and p has hbar k in ascending order with the plane-wave columns of F^dagger.
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameter, SupportViolation
 from .hilbert import Observable, State, normalize
@@ -74,11 +77,19 @@ def position_op(g: Grid) -> Observable:
 
 
 def momentum_op(g: Grid) -> Observable:
-    """Spectral momentum F^dagger diag(hbar k) F with signed frequencies."""
-    j = np.arange(g.n)
-    f = np.exp(-2j * np.pi * np.outer(j, j) / g.n) / np.sqrt(g.n)
-    k = _wavenumbers(g)
-    return Observable(f.conj().T @ (g.hbar * k[:, None] * f), partial(_momentum_eigen, g))
+    """Spectral momentum F^dagger diag(hbar k) F as a circulant, built in O(n^2).
+
+    p_ab = c[(a - b) mod n], where c = ifft(hbar k) is one inverse FFT.
+    Setting c_d to (c_d + conj(c_-d)) / 2 first makes p exactly Hermitian.
+    Row a is the window r[n - a : 2n - a] of the first row r, doubled, so
+    the fill is one copy of a strided view: no n x n exp, no matrix product.
+    """
+    back = -np.arange(g.n)  # index -d mod n
+    c = np.fft.ifft(g.hbar * _wavenumbers(g))
+    c = 0.5 * (c + np.conj(c[back]))
+    row = c[back]  # p_0b = c_-b
+    matrix = sliding_window_view(np.concatenate([row, row]), g.n)[g.n:0:-1].copy()
+    return Observable(matrix, partial(_momentum_eigen, g))
 
 
 def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:

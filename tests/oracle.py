@@ -14,6 +14,9 @@ file's state is normalised in mpmath.
 for the value and certificate that `statesphere minimize` prints, at a state
 read back from the printed output and normalised with `normalised`.
 
+`entry_error` is the largest entry error of a float64 matrix against an
+exact one, such as a grid's p against its 50-digit circulant.
+
 `problem_eigensystems` gives each observable's exact eigenvalues and
 eigenvectors: a dense observable's from mpmath's `eighe`, a grid's x and p
 in closed form (unit vectors and plane waves).  From them `distances_fields`
@@ -67,6 +70,16 @@ def _grid_operators(spec: dict):
     ]
     p = [[column[(j - l) % n] for l in range(n)] for j in range(n)]
     return {"x": x, "p": p}
+
+
+def entry_error(exact, matrix) -> float:
+    """Largest |matrix_ab - exact_ab| over the entries of a float64 matrix, to DIGITS."""
+    with mp.workdps(DIGITS):
+        return float(max(
+            abs(mp.mpc(complex(z)) - e)
+            for row, exact_row in zip(matrix, exact)
+            for z, e in zip(row, exact_row)
+        ))
 
 
 def _grid_eigensystems(spec: dict):

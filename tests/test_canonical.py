@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import mp
 
 from statesphere import (
     Grid,
@@ -17,6 +18,12 @@ from statesphere import (
     relations_report,
     std_dev,
 )
+from statesphere.canonical import _wavenumbers
+
+from oracle import DIGITS, _grid_operators, entry_error
+
+EPS = np.finfo(float).eps
+SPECTRUM_GRIDS = [Grid(16, 8.0), Grid(64, 40.0, hbar=0.7), Grid(256, 40.0)]
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +88,44 @@ class TestMomentumOp:
         assert expectation(momentum_op(grid), psi) == pytest.approx(0.0, abs=1e-10)
 
     def test_hermiticity_residual(self, grid):
+        # exact, so Observable stores p as built, with no Hermitian-part copy
+        p = momentum_op(grid)
+        assert np.array_equal(p.matrix, p.matrix.conj().T)
+
+    def test_circulant(self, grid):
         p = momentum_op(grid).matrix
-        scale = np.max(np.abs(p))
-        assert np.max(np.abs(p - p.conj().T)) <= 1e-12 * scale
+        j = np.arange(grid.n)
+        assert np.array_equal(p, p[(j[:, None] - j) % grid.n, 0])
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("length", [8.0, 40.0])
+    @pytest.mark.parametrize("hbar", [1.0, 0.7])
+    def test_entries_within_eps_of_exact(self, n, length, hbar):
+        # against the circulant (hbar / n) sum_m k_m exp(2 pi i m (a - b) / n) at 50 digits
+        p = momentum_op(Grid(n, length, hbar))
+        with mp.workdps(DIGITS):
+            exact = _grid_operators({"n": n, "length": length, "hbar": hbar})["p"]
+        assert entry_error(exact, p.matrix) <= EPS * p.scale
+
+    @pytest.mark.parametrize("g", SPECTRUM_GRIDS + [Grid(256, 8.0, hbar=0.7)], ids=str)
+    def test_matches_dense_dft_product(self, g):
+        # F^dagger diag(hbar k) F carries the rounding of an n-term sum of
+        # terms up to |p|_2 = max |hbar k| (Higham, 2nd ed., sec. 3.5), more
+        # than n eps scale at n = 16, L = 8; so the bound is n eps |p|_2
+        j = np.arange(g.n)
+        f = np.exp(-2j * np.pi * np.outer(j, j) / g.n) / np.sqrt(g.n)
+        hbar_k = g.hbar * _wavenumbers(g)
+        product = f.conj().T @ (hbar_k[:, None] * f)
+        p = momentum_op(g).matrix
+        assert np.abs(p - product).max() <= g.n * EPS * np.abs(hbar_k).max()
+
+    def test_matvec_is_one_fft_pair(self):
+        g = Grid(1024, 40.0)
+        p = momentum_op(g)
+        rng = np.random.default_rng(0)
+        v = normalize(rng.normal(size=g.n) + 1j * rng.normal(size=g.n)).amplitudes
+        fft_pair = np.fft.ifft(g.hbar * _wavenumbers(g) * np.fft.fft(v))
+        assert np.abs(p.matrix @ v - fft_pair).max() <= g.n * EPS * p.scale
 
 
 class TestGaussian:
@@ -127,10 +169,6 @@ class TestGaussian:
                 gaussian(grid, x0, p0, sigma)
 
 
-EPS = np.finfo(float).eps
-SPECTRUM_GRIDS = [Grid(16, 8.0), Grid(64, 40.0, hbar=0.7), Grid(256, 40.0)]
-
-
 @pytest.mark.parametrize("g", SPECTRUM_GRIDS, ids=lambda g: f"n={g.n}")
 class TestExactSpectra:
     """The closed-form spectra of x and p against np.linalg.eigh of their matrices."""
@@ -142,14 +180,14 @@ class TestExactSpectra:
         assert np.array_equal(x.spectrum.eigenvectors, vecs)
 
     def test_momentum_is_an_orthonormal_eigenbasis(self, g):
-        # Backward errors relative to |p|_2, the largest |hbar k|: the
-        # residual also carries the rounding of p's dense matrix.
+        # eigvalsh's backward error is relative to |p|_2, the largest |hbar k|;
+        # the residual, which carries the rounding of p's entries, to p's scale
         p = momentum_op(g)
         vals, vecs = p.spectrum.eigenvalues, p.spectrum.eigenvectors
         norm = float(np.abs(vals).max())
         assert np.all(np.diff(vals) > 0)
         assert np.abs(vals - np.linalg.eigvalsh(p.matrix)).max() <= g.n * EPS * norm
-        assert np.linalg.norm(p.matrix @ vecs - vecs * vals, 2) <= g.n * EPS * norm
+        assert np.linalg.norm(p.matrix @ vecs - vecs * vals, 2) <= g.n * EPS * p.scale
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(g.n), 2) <= g.n * EPS
 
     def test_eigenset_distance_is_exact(self, g):
