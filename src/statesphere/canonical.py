@@ -8,25 +8,26 @@ finite dimension (the commutator is traceless, i hbar n I is not), but for
 states concentrated away from the box boundary the residual is tiny, and
 discretized Gaussians reproduce dx dp = hbar/2 to 1e-6 at n = 512.
 
-p's matrix is the circulant whose first column is one inverse FFT of
-hbar k, filled in O(n^2) and exactly Hermitian, so it is stored as built.
-Both operators are given their spectra in closed form, so their `spectrum`
-never calls np.linalg.eigh: x has the grid points with the identity basis,
-and p has hbar k in ascending order with the plane-wave columns of F^dagger.
-Observables read from a problem file take the eigh route.
+Both operators carry their closed-form eigendecomposition, a DiagonalForm:
+x is diagonal on the grid points, and p is diag(hbar k) in the DFT basis.
+Their matvecs are `points * v` and ifft(hbar k * fft(v)), their flows are
+phases on the grid or in Fourier space, and their scales come in closed
+form, all in O(n log n); their `spectrum` never calls np.linalg.eigh.  Each
+still builds its n x n matrix eagerly (p's as the exactly Hermitian
+circulant of one inverse FFT, filled in O(n^2)), which the dense routes
+(the optimizer, the selftest) read.  Observables read from a problem file
+take the dense routes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameter, SupportViolation
-from .hilbert import Observable, State, normalize
+from .hilbert import DiagonalForm, Observable, State, normalize
 
 
 @dataclass(frozen=True)
@@ -55,41 +56,31 @@ def _wavenumbers(g: Grid) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(g.n, d=g.length / g.n)
 
 
-def _position_eigen(g: Grid) -> tuple:
-    """The grid points, with the unit vectors as eigenvectors."""
-    return g.points, np.eye(g.n, dtype=complex)
+def _position(g: Grid) -> DiagonalForm:
+    """x, diagonal on the grid points."""
+    return DiagonalForm(g.points)
 
 
-def _momentum_eigen(g: Grid) -> tuple:
-    """hbar k ascending, with the plane waves exp(2 pi i m j / n) / sqrt(n) as columns.
-
-    The columns are those of F^dagger, one inverse FFT of the identity,
-    reordered from the FFT layout to m = -n/2, ..., n/2 - 1.
-    """
-    order = np.fft.fftshift(np.arange(g.n))
-    waves = np.fft.ifft(np.eye(g.n)[:, order], axis=0, norm="ortho")
-    return g.hbar * _wavenumbers(g)[order], waves
+def _momentum(g: Grid) -> DiagonalForm:
+    """p = F^dagger diag(hbar k) F, applied as ifft(hbar k * fft(v))."""
+    return DiagonalForm(g.hbar * _wavenumbers(g), fourier=True)
 
 
 def position_op(g: Grid) -> Observable:
     """Diagonal multiplication by the grid points."""
-    return Observable(np.diag(g.points.astype(complex)), partial(_position_eigen, g))
+    form = _position(g)
+    return Observable(form.matrix(), form)
 
 
 def momentum_op(g: Grid) -> Observable:
-    """Spectral momentum F^dagger diag(hbar k) F as a circulant, built in O(n^2).
+    """Spectral momentum F^dagger diag(hbar k) F, with its circulant matrix built in O(n^2).
 
-    p_ab = c[(a - b) mod n], where c = ifft(hbar k) is one inverse FFT.
-    Setting c_d to (c_d + conj(c_-d)) / 2 first makes p exactly Hermitian.
-    Row a is the window r[n - a : 2n - a] of the first row r, doubled, so
-    the fill is one copy of a strided view: no n x n exp, no matrix product.
+    p_ab = c[(a - b) mod n], where c = ifft(hbar k) is one inverse FFT,
+    symmetrised so that p is exactly Hermitian: no n x n exp, no matrix
+    product.
     """
-    back = -np.arange(g.n)  # index -d mod n
-    c = np.fft.ifft(g.hbar * _wavenumbers(g))
-    c = 0.5 * (c + np.conj(c[back]))
-    row = c[back]  # p_0b = c_-b
-    matrix = sliding_window_view(np.concatenate([row, row]), g.n)[g.n:0:-1].copy()
-    return Observable(matrix, partial(_momentum_eigen, g))
+    form = _momentum(g)
+    return Observable(form.matrix(), form)
 
 
 def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:
@@ -116,16 +107,12 @@ def gaussian(g: Grid, x0: float, p0: float, sigma: float) -> State:
 def commutator_residual(g: Grid, phi: State) -> float:
     """Norm of ([x, p] - i hbar I) phi, from x(p phi) - p(x phi) - i hbar phi.
 
-    p is applied as F^dagger diag(hbar k) F by one FFT pair, with no matrix.
+    x and p are applied as position_op's and momentum_op's observables apply
+    them, with no matrix: p by one FFT pair.
     Small only for states concentrated away from the boundary in both
     position and momentum; order hbar n / L for boundary-supported states.
     """
-    x = g.points
-    hbar_k = g.hbar * _wavenumbers(g)
-
-    def p(v):
-        return np.fft.ifft(hbar_k * np.fft.fft(v))
-
+    x, p = _position(g).apply, _momentum(g).apply
     v = phi.amplitudes
-    c = x * p(v) - p(x * v) - 1j * g.hbar * v
+    c = x(p(v)) - p(x(v)) - 1j * g.hbar * v
     return float(np.linalg.norm(c))

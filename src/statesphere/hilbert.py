@@ -1,8 +1,10 @@
 """Finite-dimensional complex Hilbert space core.
 
 States are unit vectors on the sphere of normalized states; observables are
-Hermitian matrices.  The inner product is conjugate-linear in the SECOND
-argument, i.e. inner(xi, eta) = sum_k xi_k * conj(eta_k).  The opposite
+Hermitian operators, each applied by its own matvec: a dense matrix
+product, or for grid x and p a diagonal in the grid or the Fourier basis.
+The inner product is conjugate-linear in the SECOND argument, i.e.
+inner(xi, eta) = sum_k xi_k * conj(eta_k).  The opposite
 convention flips the sign of the symplectic form downstream, so everything
 in this package assumes this one.
 """
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -56,23 +59,112 @@ class State:
 
 
 @dataclass(frozen=True)
+class DiagonalForm:
+    """The operator F^-1 diag(values) F, where F is the identity or the DFT.
+
+    `values` are the eigenvalues in F's order.  F is np.fft.fft along the
+    first axis, unnormalised, and F^-1 is np.fft.ifft: no sqrt(n) enters a
+    matvec or a flow, so both cost O(n log n) per vector.  The operator is
+    Hermitian by construction, and its matrix, its scale and its spectrum
+    follow in closed form.  For the DFT the matrix is the circulant whose
+    first column is c = ifft(values) with c_d set to (c_d + conj(c_-d)) / 2,
+    which makes it exactly Hermitian.
+    """
+
+    values: np.ndarray
+    fourier: bool = False
+
+    def _forward(self, v: np.ndarray) -> np.ndarray:
+        return np.fft.fft(v, axis=0) if self.fourier else v
+
+    def _inverse(self, c: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(c, axis=0) if self.fourier else c
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """F^-1 (values * F v), along the first axis of v."""
+        return self._inverse(_rowwise(self.values, self._forward(v)))
+
+    def flows(self, v: np.ndarray, t) -> np.ndarray:
+        """e^{-iAt} v: one column per time for an array t, or per column of v."""
+        return self._inverse(_phased(self.values, t, self._forward(v)))
+
+    @cached_property
+    def _column(self) -> np.ndarray:
+        """The first column of the matrix."""
+        if not self.fourier:
+            return self.values
+        c = np.fft.ifft(self.values)
+        return 0.5 * (c + np.conj(c[-np.arange(c.size)]))
+
+    @cached_property
+    def scale(self) -> float:
+        """max(1, largest entry magnitude) of the matrix, from its first column.
+
+        Every entry of a circulant appears in its first column, and the
+        other entries of a diagonal are zero.
+        """
+        return float(np.abs(self._column).max(initial=1.0))
+
+    def matrix(self) -> np.ndarray:
+        """The n x n matrix, in O(n^2).
+
+        Row a of the circulant is the window r[n - a : 2n - a] of its first
+        row r, doubled, so the fill is one copy of a strided view.
+        """
+        n = self.values.size
+        if not self.fourier:
+            return np.diag(self.values.astype(complex))
+        row = self._column[-np.arange(n)]  # p_0b = c_-b
+        return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1].copy()
+
+    def spectrum(self) -> tuple:
+        """The eigenvalues ascending, with the columns of F^-1 (unitary) as eigenvectors.
+
+        Those columns are the unit vectors, or for the DFT the plane waves
+        exp(2 pi i m j / n) / sqrt(n), one inverse FFT of the identity.
+        """
+        order = np.argsort(self.values, kind="stable")
+        vecs = np.eye(self.values.size, dtype=complex)[:, order]
+        if self.fourier:
+            vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
+        return self.values[order], vecs
+
+
+def _rowwise(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """d * v with the first axes aligned: diag(d) v for a vector or an n x m array."""
+    return d.reshape(d.shape + (1,) * (v.ndim - d.ndim)) * v
+
+
+def _phased(values: np.ndarray, t, coefficients: np.ndarray) -> np.ndarray:
+    """exp(-i values t) * coefficients, along the first axis.
+
+    For a vector of coefficients and an array of times, one column per
+    time; for an n x m array and one time, one column per column.
+    """
+    phases = np.exp(-1j * np.multiply.outer(values, t))
+    return _rowwise(phases, coefficients.reshape(coefficients.shape + (1,) * np.ndim(t)))
+
+
+@dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix, identified with the tangent field phi -> -i A phi.
+    """Hermitian operator, identified with the tangent field phi -> -i A phi.
 
-    Hermiticity is checked here and nowhere else.  The input must lie within
-    1e-10 * scale of its conjugate transpose, entry by entry, and is stored
-    as its Hermitian part (M + M^dagger)/2, which is exactly Hermitian; an
-    exactly Hermitian input is stored as given, without a copy.  What is
-    derived from the matrix is a plain array or float, not checked again.
+    A dense observable is its matrix.  The input must lie within 1e-10 *
+    scale of its conjugate transpose, entry by entry, and is stored as its
+    Hermitian part (M + M^dagger)/2, which is exactly Hermitian; an exactly
+    Hermitian input is stored as given, without a copy.  This is the one
+    Hermiticity check: what is derived from the matrix is not checked again.
 
-    The scale (of the input) and the spectrum are computed once, on first
-    use, and cached; the matrix must not be mutated in place after
-    construction.  `eigen`, where given (grid x and p), returns the spectrum
-    in closed form as (eigenvalues, eigenvectors); others take np.linalg.eigh.
+    `eigen`, where given (grid x and p), is the operator's closed-form
+    eigendecomposition, and `matrix` the matrix it builds.  Such an
+    observable is Hermitian by construction and is not scanned; its matvec,
+    flows and scale come from `eigen` in O(n log n), and its spectrum never
+    calls np.linalg.eigh.  The scale and the spectrum are computed once, on
+    first use, and cached; the matrix must not be mutated in place.
     """
 
     matrix: np.ndarray
-    eigen: Callable[[], tuple] | None = None
+    eigen: DiagonalForm | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -80,6 +172,8 @@ class Observable:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected square matrix, got shape {m.shape}")
         _require_finite(self.scale, "observable")
+        if self.eigen is not None:
+            return
         resid = _hermitian_residual(m)
         if resid > HERMITIAN_TOL * self.scale:
             raise NotHermitian(
@@ -96,13 +190,46 @@ class Observable:
     @cached_property
     def scale(self) -> float:
         """Scale-free tolerance reference: max(1, largest entry magnitude)."""
+        if self.eigen is not None:
+            return self.eigen.scale
         return float(np.abs(self.matrix).max(initial=1.0))
 
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
-        vals, vecs = np.linalg.eigh(self.matrix) if self.eigen is None else self.eigen()
+        vals, vecs = np.linalg.eigh(self.matrix) if self.eigen is None else self.eigen.spectrum()
         return SpectralDecomposition(vals, vecs)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues: ascending, or for `eigen` in closed form, in its order."""
+        return self.spectrum.eigenvalues if self.eigen is None else self.eigen.values
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A v, for a vector or for each column of an n x m array."""
+        self._require_dim(v)
+        return self.matrix @ v if self.eigen is None else self.eigen.apply(v)
+
+    def flows(self, v: np.ndarray, t) -> np.ndarray:
+        """e^{-iAt} v, exactly unitary up to rounding.
+
+        v is a vector, or an n x m array whose columns all flow for the one
+        time t; a vector may instead flow for each time of an array t, one
+        column per time.
+
+        The phases are applied in the eigenbasis: a dense observable's as
+        V (P * V^dagger v), where P holds the phases, and x's and p's through
+        `eigen`.
+        """
+        self._require_dim(v)
+        if self.eigen is not None:
+            return self.eigen.flows(v, t)
+        dec = self.spectrum
+        return dec.eigenvectors @ _phased(dec.eigenvalues, t, dec.adjoint @ v)
+
+    def _require_dim(self, v: np.ndarray) -> None:
+        if v.shape[0] != self.dim:
+            raise DimensionMismatch(f"operator dim {self.dim} != vector length {v.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -241,20 +368,17 @@ def expectation(A: Observable, phi: State) -> float:
     Geometrically this is the metric projection of the tangent vector
     -i A phi onto -i phi.
     """
-    if A.dim != phi.dim:
-        raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
-    return float(inner(A.matrix @ phi.amplitudes, phi.amplitudes).real)
+    return float(inner(A.apply(phi.amplitudes), phi.amplitudes).real)
 
 
-def centered(A: Observable, phi: State) -> np.ndarray:
-    """A copy of A's matrix minus its mean in phi times the identity.
+def centered(A: Observable, phi: State) -> Callable[[np.ndarray], np.ndarray]:
+    """The centred operator u -> A u - <A> u, with <A> the mean of A in phi.
 
-    It has zero mean in phi and is exactly Hermitian, as A's matrix is.
+    It has zero mean in phi.  It is applied through A's matvec, to a vector
+    or to each column of an n x m array, and forms no matrix.
     """
     mean = expectation(A, phi)
-    m = A.matrix.copy()
-    m.flat[:: A.dim + 1] -= mean
-    return m
+    return lambda u: A.apply(u) - mean * u
 
 
 def spectral(A: Observable) -> SpectralDecomposition:

@@ -71,9 +71,7 @@ def centered_field(A: Observable, phi: State) -> np.ndarray:
     It is horizontal: orthogonal to the whole phase fibre through phi, i.e.
     inner(field, phi) = 0 in both parts.
     """
-    if A.dim != phi.dim:
-        raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
-    return -1j * (centered(A, phi) @ phi.amplitudes)
+    return -1j * centered(A, phi)(phi.amplitudes)
 
 
 def std_dev(A: Observable, phi: State) -> float:
@@ -96,8 +94,8 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     a_c = centered(A, phi)
     b_c = centered(B, phi)
-    v = a_c @ phi.amplitudes
-    w = b_c @ phi.amplitudes
+    v = a_c(phi.amplitudes)
+    w = b_c(phi.amplitudes)
     X = -1j * v
     Y = -1j * w
     da = float(np.linalg.norm(X))
@@ -107,8 +105,8 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
 
     # <[A,B]> and <{A,B}> of the centred pair from the second products
     # A_c(B_c phi) and B_c(A_c phi): no n x n product is formed.
-    ab = a_c @ w
-    ba = b_c @ v
+    ab = a_c(w)
+    ba = b_c(v)
     scale = max(A.scale, B.scale)
     comm_half = 0.5 * abs(inner(ab - ba, phi.amplitudes))
     comm_half_symp = abs(symplectic(X, Y))

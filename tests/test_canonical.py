@@ -3,6 +3,7 @@ import pytest
 from mpmath import mp
 
 from statesphere import (
+    DimensionMismatch,
     Grid,
     InvalidParameter,
     Observable,
@@ -17,6 +18,7 @@ from statesphere import (
     position_op,
     relations_report,
     std_dev,
+    trace_flow,
 )
 from statesphere.canonical import _wavenumbers
 
@@ -202,6 +204,74 @@ class TestExactSpectra:
             assert type(op) is Observable and op.eigen is not None
             arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
             assert len(arrays) == 1 and arrays[0] is op.matrix
+
+
+def matrix_scale(m: np.ndarray) -> float:
+    """np.abs(m).max(initial=1.0), taken over blocks of rows to bound the scratch array."""
+    return max(float(np.abs(m[i:i + 256]).max(initial=1.0)) for i in range(0, m.shape[0], 256))
+
+
+class TestClosedForm:
+    """Grid x and p apply, and scale, from their closed forms, not their matrices."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [Grid(n, length, hbar) for n in (16, 32, 256, 1024) for length in (0.5, 8.0, 40.0)
+         for hbar in (0.3, 1.0)] + [Grid(4096, 40.0), Grid(4096, 3.0, hbar=2.5)],
+        ids=str,
+    )
+    def test_scale_is_the_largest_entry_bit_for_bit(self, g):
+        for op in (position_op(g), momentum_op(g)):
+            assert op.scale == matrix_scale(op.matrix)
+
+    @pytest.mark.parametrize("g", SPECTRUM_GRIDS + [Grid(1024, 40.0)], ids=str)
+    def test_grid_matvecs_match_the_matrices(self, g):
+        rng = np.random.default_rng(g.n)
+        vecs = rng.standard_normal((g.n, 3)) + 1j * rng.standard_normal((g.n, 3))
+        vecs /= np.linalg.norm(vecs, axis=0)
+        for op in (position_op(g), momentum_op(g)):
+            tol = g.n * EPS * op.scale
+            assert np.abs(op.apply(vecs) - op.matrix @ vecs).max() <= tol
+            assert np.abs(op.apply(vecs[:, 0]) - op.matrix @ vecs[:, 0]).max() <= tol
+            # a column of a batch is the vector applied alone
+            assert np.array_equal(op.apply(vecs)[:, 1], op.apply(vecs[:, 1]))
+
+    def test_dense_matvec_is_the_matrix_product(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+        a = Observable(7.0 * (m + m.conj().T))
+        vecs = rng.standard_normal((24, 4)) + 1j * rng.standard_normal((24, 4))
+        assert np.abs(a.apply(vecs) - a.matrix @ vecs).max() <= 24 * EPS * a.scale * np.abs(vecs).max()
+        assert np.array_equal(a.apply(vecs[:, 0]), a.matrix @ vecs[:, 0])
+
+    @pytest.mark.parametrize("g", SPECTRUM_GRIDS, ids=str)
+    def test_p_matvec_is_the_fft_pair(self, g):
+        v = gaussian(g, 0.5, 0.3, g.length / 20).amplitudes
+        fft_pair = np.fft.ifft(g.hbar * _wavenumbers(g) * np.fft.fft(v))
+        assert np.array_equal(momentum_op(g).apply(v), fft_pair)
+        assert np.array_equal(position_op(g).apply(v), g.points * v)
+
+    def test_commutator_residual_applies_the_operators_matvecs(self, grid):
+        phi = gaussian(grid, 1.0, 0.5, 1.2)
+        x, p = position_op(grid), momentum_op(grid)
+        v = phi.amplitudes
+        c = x.apply(p.apply(v)) - p.apply(x.apply(v)) - 1j * grid.hbar * v
+        assert commutator_residual(grid, phi) == float(np.linalg.norm(c))
+
+    def test_wrong_length_state_is_a_dimension_mismatch(self):
+        g = Grid(32, 20.0)
+        x, p = position_op(g), momentum_op(g)
+        short = gaussian(Grid(16, 20.0), 0.0, 0.0, 1.0)
+        for call in (
+            lambda: relations_report(x, p, short),
+            lambda: std_dev(x, short),
+            lambda: std_dev(p, short),
+            lambda: minimal_condition(x, p, short),
+            lambda: trace_flow(p, short, 1.0, 4),
+            lambda: trace_flow(x, short, 1.0, 4),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call()
 
 
 class TestCommutatorResidual:

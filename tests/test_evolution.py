@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from statesphere import (
+    Grid,
     InvalidParameter,
     Observable,
     default_dt,
     flow,
     fs_distance,
+    gaussian,
+    momentum_op,
     normalize,
+    position_op,
     projected_speed,
     std_dev,
     trace_flow,
@@ -20,6 +25,8 @@ from statesphere import (
 )
 
 from conftest import hermitian, random_hermitian, random_state
+
+EPS = np.finfo(float).eps
 
 
 class TestFlow:
@@ -131,6 +138,40 @@ class TestTraceFlow:
     def test_steps_validation(self, sz):
         with pytest.raises(InvalidParameter):
             trace_flow(sz, validate_state([1, 0]), 1.0, 1)
+
+    @pytest.mark.parametrize("kind", ["dense", "x", "p"])
+    def test_batch_matches_each_point(self, kind):
+        # every sample of the batched trace against flow, projected_speed and
+        # std_dev called at that one point, within their rounding bounds
+        g = Grid(64, 40.0)
+        if kind == "dense":
+            rng = np.random.default_rng(9)
+            a = Observable(3.0 * random_hermitian(rng, 24).matrix)
+            phi = random_state(rng, 24)
+        else:
+            a = position_op(g) if kind == "x" else momentum_op(g)
+            phi = gaussian(g, -2.0, 0.7, 1.5)
+        trace = trace_flow(a, phi, 2.5, 7)
+        n, dt = a.dim, default_dt(a)
+        for t, state, speed, dev in zip(trace.times, trace.states, trace.fs_speeds, trace.std_devs):
+            alone = flow(a, phi, t).amplitudes
+            assert np.abs(state.amplitudes - alone).max() <= n * EPS * (1 + a.scale * abs(t))
+            assert abs(speed - projected_speed(a, state, dt)) <= n * EPS / dt
+            assert abs(dev - std_dev(a, state)) <= n * EPS * a.scale
+
+    def test_grid_trace_allocates_no_matrix(self):
+        # the batch holds a few vectors per sample: no n x n array, and no
+        # eigenvector matrix on the first call either
+        g = Grid(1024, 40.0)
+        p = momentum_op(g)
+        phi = gaussian(g, 1.0, -0.5, 1.0)
+        tracemalloc.start()
+        try:
+            trace_flow(p, phi, 1.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.n * g.n * 16 / 16
 
     def test_csv_roundtrip(self, sz):
         trace = trace_flow(sz, normalize([1, 1]), 1.0, 4)

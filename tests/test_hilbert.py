@@ -133,27 +133,43 @@ class TestExpectation:
             Observable([[bad, 0], [0, 1]])
 
 
+def centred_oracle(a: Observable, phi: State) -> np.ndarray:
+    """A - <A> I as a matrix, formed here from A's matrix."""
+    return a.matrix - expectation(a, phi) * np.eye(a.dim)
+
+
+def centred_action(a: Observable, phi: State) -> np.ndarray:
+    """The matrix of centered(a, phi), read off its action on the unit vectors."""
+    return centered(a, phi)(np.eye(a.dim, dtype=complex))
+
+
 class TestCentered:
     def test_sigma_z_on_up(self, sz):
-        c = centered(sz, validate_state([1, 0]))
-        assert np.allclose(c, sz.matrix - np.eye(2))
+        up = validate_state([1, 0])
+        assert np.allclose(centred_oracle(sz, up), sz.matrix - np.eye(2))
+        assert np.allclose(centred_action(sz, up), sz.matrix - np.eye(2))
 
     def test_sigma_x_unchanged(self, sx):
-        c = centered(sx, validate_state([1, 0]))
-        assert np.allclose(c, sx.matrix)
+        up = validate_state([1, 0])
+        assert np.allclose(centred_action(sx, up), centred_oracle(sx, up))
+        assert np.allclose(centred_action(sx, up), sx.matrix)
 
     def test_identity_centers_to_zero(self):
         rng = np.random.default_rng(5)
         phi = random_state(rng, 4)
-        c = centered(Observable(np.eye(4)), phi)
-        assert np.allclose(c, 0)
+        one = Observable(np.eye(4))
+        assert np.allclose(centred_oracle(one, phi), 0)
+        assert np.allclose(centred_action(one, phi), 0)
 
     def test_centered_expectation_vanishes(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             a = random_hermitian(rng, 4)
             phi = random_state(rng, 4)
-            assert abs(expectation(Observable(centered(a, phi)), phi)) <= 1e-12
+            v = phi.amplitudes
+            action = centered(a, phi)
+            assert np.allclose(action(v), centred_oracle(a, phi) @ v, rtol=0, atol=1e-12)
+            assert abs(inner(action(v), v).real) <= 1e-12
 
     def test_is_not_checked_again_at_its_own_scale(self, tmp_path):
         # a's residual 1e-5 is within 1e-10 of its scale 1e6.  A centred copy
@@ -186,7 +202,9 @@ class TestBrackets:
         b = random_hermitian(rng, 4)
         phi = random_state(rng, 4)
         comm, _ = brackets(a, b)
-        comm_c, _ = brackets(Observable(centered(a, phi)), Observable(centered(b, phi)))
+        for obs in (a, b):
+            assert np.allclose(centred_action(obs, phi), centred_oracle(obs, phi), atol=1e-12)
+        comm_c, _ = brackets(Observable(centred_action(a, phi)), Observable(centred_action(b, phi)))
         assert np.allclose(comm, comm_c, atol=1e-12)
 
     def test_hermiticity_structure(self):

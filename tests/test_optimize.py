@@ -29,7 +29,7 @@ from statesphere import (
     uncertainty,
     validate_state,
 )
-from statesphere.hilbert import centered
+from statesphere.hilbert import centered, expectation
 
 from conftest import hermitian, random_hermitian, random_state
 from oracle import minimize_fields, normalised
@@ -450,15 +450,20 @@ def test_each_eigensolve_is_one_matrix(monkeypatch):
 def test_certified_grid_minimizer_is_a_fixed_point():
     # At a minimum H(phi) phi = 2 f phi: the horizontal part of H(phi) phi
     # is half the Riemannian gradient, and its phi part is <phi|H|phi> =
-    # 2 f.  H is built here from the centred matrices, not as the program
-    # forms it.
+    # 2 f.  H is built here from the centred matrices A - <A> I, not as the
+    # program forms it, and the centred operators' actions must agree.
     g = Grid(64, 40.0)
     x, p = position_op(g), momentum_op(g)
     res = minimize_multistart(x, p, restarts=2, seed=1)
     assert res.converged
     phi = res.state
-    xc, pc = centered(x, phi), centered(p, phi)
-    H = std_dev(p, phi) ** 2 * (xc @ xc) + std_dev(x, phi) ** 2 * (pc @ pc)
     v = phi.amplitudes
+    allowance = rounding_allowance(g.n, max(x.scale, p.scale))
+    xc, pc = (op.matrix - expectation(op, phi) * np.eye(g.n) for op in (x, p))
+    weights = std_dev(p, phi) ** 2, std_dev(x, phi) ** 2
+    H = weights[0] * (xc @ xc) + weights[1] * (pc @ pc)
     residual = np.linalg.norm(H @ v - 2 * res.value * v)
-    assert residual <= rounding_allowance(g.n, max(x.scale, p.scale))
+    assert residual <= allowance
+    x_act, p_act = centered(x, phi), centered(p, phi)
+    h_v = weights[0] * x_act(x_act(v)) + weights[1] * p_act(p_act(v))
+    assert np.linalg.norm(h_v - H @ v) <= allowance

@@ -97,6 +97,36 @@ REGENERATIONS = {
                 "area_bound_slack": 3.160098235865938e-06,
             },
         },
+        {
+            # centred fields as A phi - <A> phi through each operator's
+            # matvec (p by one FFT pair) instead of (A - <A> I) phi from a
+            # centred copy of the matrix
+            "cause": "route",
+            "replaced": {
+                "metric_term": -6.4340818127853194e-07,
+                "commutator_half": 0.5000000725765027,
+                "anticommutator_half": 6.434081812750625e-07,
+                "identity_residual": -8.2944155889881411e-17,
+                "theta": 1.5707976136029396,
+                "robertson_slack": 3.1600986495350369e-06,
+                "schrodinger_slack": 3.1601086804836539e-06,
+                "area_bound_slack": 3.1600982356438934e-06,
+            },
+        },
+    ],
+    ("dense4", "a", "b"): [
+        {
+            # centred fields as A phi - <A> phi instead of (A - <A> I) phi
+            # from a centred copy of the matrix
+            "cause": "route",
+            "replaced": {
+                "metric_term": -4.5374050073000198,
+                "commutator_half": 4.2135161092288493,
+                "identity_residual": 3.5527136788005009e-15,
+                "robertson_slack": 6.4929972059950982,
+                "area_bound_slack": 5.4839775447415606,
+            },
+        },
     ],
 }
 

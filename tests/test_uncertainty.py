@@ -12,6 +12,7 @@ from statesphere import (
     Observable,
     centered,
     centered_field,
+    expectation,
     gaussian,
     inner,
     metric_g,
@@ -129,9 +130,14 @@ class TestBracketTerms:
             b = Observable(10.0 ** rng.uniform(-2, 2) * random_hermitian(rng, n).matrix)
             phi = random_state(rng, n)
             rep = relations_report(a, b, phi)
-            comm, anti = brackets(Observable(centered(a, phi)), Observable(centered(b, phi)))
-            tol = 1e-12 * max(a.scale, b.scale) ** 2
+            # A - <A> I and B - <B> I as matrices, formed here
+            a_c, b_c = (obs.matrix - expectation(obs, phi) * np.eye(n) for obs in (a, b))
             v = phi.amplitudes
+            for obs, oracle_c in ((a, a_c), (b, b_c)):
+                action = centered(obs, phi)(v)
+                assert np.abs(action - oracle_c @ v).max() <= 1e-12 * obs.scale
+            comm, anti = brackets(Observable(a_c), Observable(b_c))
+            tol = 1e-12 * max(a.scale, b.scale) ** 2
             assert rep.commutator_half == pytest.approx(0.5 * abs(inner(comm @ v, v)), abs=tol)
             assert rep.anticommutator_half == pytest.approx(0.5 * abs(inner(anti @ v, v)), abs=tol)
 
@@ -149,6 +155,21 @@ class TestBracketTerms:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * n * n * 16
+
+    def test_grid_report_allocates_no_matrix(self):
+        # x and p act by their matvecs: the report holds a few vectors, far
+        # below one n x n array
+        n = 1024
+        g = Grid(n, 40.0)
+        x, p = position_op(g), momentum_op(g)
+        phi = gaussian(g, 0.0, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            relations_report(x, p, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 16
 
     def test_commutator_cross_check_fires(self, monkeypatch, sx, sy):
         phi = normalize([1, 0.3 + 0.2j])
