@@ -14,9 +14,9 @@ Their matvecs are `points * v` and ifft(hbar k * fft(v)), their flows are
 phases on the grid or in Fourier space, and their scales come in closed
 form, all in O(n log n); their `spectrum` never calls np.linalg.eigh.  Each
 still builds its n x n matrix eagerly (p's as the exactly Hermitian
-circulant of one inverse FFT, filled in O(n^2)), which the dense routes
-(the optimizer, the selftest) read.  Observables read from a problem file
-take the dense routes.
+circulant of one inverse FFT, filled in O(n^2)), which only the
+optimizer reads.  Observables read from a problem file take the dense
+routes.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -76,40 +75,14 @@ def _number(value, what: str, integer: bool = False):
 MAGNITUDE_BOUND = 1e76
 
 
-class _Observables(Mapping):
-    """A problem file's named observables; a grid's x and p are built on first lookup.
+def load_problem(path: str, tol: float = 1e-10, names=None) -> tuple[State, dict[str, Observable]]:
+    """Parse and validate a problem file into its state and the observables `names`.
 
-    A lookup rejects an observable whose n * scale exceeds MAGNITUDE_BOUND.
-    """
-
-    def __init__(self, defined: dict, builders: dict):
-        self._built = defined
-        self._builders = {name: b for name, b in builders.items() if name not in defined}
-        self._names = [*defined, *self._builders]
-
-    def __getitem__(self, name: str) -> Observable:
-        if name not in self._built:
-            self._built[name] = self._builders[name]()
-        obs = self._built[name]
-        if obs.dim * obs.scale > MAGNITUDE_BOUND:
-            raise InvalidParameter(
-                f"observable {name!r} has scale {obs.scale!r}, above the bound "
-                f"{MAGNITUDE_BOUND:g} / n = {MAGNITUDE_BOUND / obs.dim!r} at n = {obs.dim}"
-            )
-        return obs
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-
-def load_problem(path: str, tol: float = 1e-10) -> tuple[State, _Observables]:
-    """Parse and validate a problem file into its state and named observables.
-
-    Grid problems gain the observables 'x' and 'p' unless the file defines
-    that name itself.  Each is built when a command first looks it up.
+    Every observable the file defines is built and checked.  A grid's 'x'
+    and 'p', unless the file defines that name, are built only if named;
+    `names=None` names every observable.  In the order named, an unknown
+    name raises GeometryError and a known one is checked against
+    MAGNITUDE_BOUND.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -122,12 +95,12 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, _Observables]:
     state = validate_state(state, tol=max(tol, 1e-10))
     if state.dim != dim:
         raise DimensionMismatch(f"state has dim {state.dim}, file says {dim}")
-    observables, builders = {}, {}
+    defined, builders = {}, {}
     for name, rows in _object(raw.get("observables", {}), "observables").items():
         obs = Observable(_complex_array(rows, 2, f"observable {name!r}"))
         if obs.dim != dim:
             raise DimensionMismatch(f"observable {name!r} has dim {obs.dim}, file says {dim}")
-        observables[name] = obs
+        defined[name] = obs
     if raw.get("grid") is not None:
         spec = _object(raw["grid"], "grid")
         grid = Grid(
@@ -138,13 +111,18 @@ def load_problem(path: str, tol: float = 1e-10) -> tuple[State, _Observables]:
         if grid.n != dim:
             raise DimensionMismatch(f"grid has n={grid.n}, file says dim {dim}")
         builders = {"x": lambda: position_op(grid), "p": lambda: momentum_op(grid)}
-    return state, _Observables(observables, builders)
-
-
-def _resolve(observables: _Observables, name: str) -> Observable:
-    if name not in observables:
-        raise GeometryError(f"unknown observable {name!r}")
-    return observables[name]
+    observables = {}
+    for name in dict.fromkeys([*defined, *builders] if names is None else names):
+        if name not in defined and name not in builders:
+            raise GeometryError(f"unknown observable {name!r}")
+        obs = defined[name] if name in defined else builders[name]()
+        if obs.dim * obs.scale > MAGNITUDE_BOUND:
+            raise InvalidParameter(
+                f"observable {name!r} has scale {obs.scale!r}, above the bound "
+                f"{MAGNITUDE_BOUND:g} / n = {MAGNITUDE_BOUND / obs.dim!r} at n = {obs.dim}"
+            )
+        observables[name] = obs
+    return state, observables
 
 
 def _emit(fields: dict, fmt: str) -> None:
@@ -157,15 +135,15 @@ def _emit(fields: dict, fmt: str) -> None:
 
 
 def cmd_report(args) -> int:
-    state, observables = load_problem(args.input, args.tol)
-    a, b = (_resolve(observables, name) for name in args.pair)
+    state, observables = load_problem(args.input, args.tol, args.pair)
+    a, b = (observables[name] for name in args.pair)
     _emit(relations_report(a, b, state).to_dict(), args.format)
     return 0
 
 
 def cmd_evolve(args) -> int:
-    state, observables = load_problem(args.input, args.tol)
-    gen = _resolve(observables, args.generator)
+    state, observables = load_problem(args.input, args.tol, [args.generator])
+    gen = observables[args.generator]
     trace = trace_flow(gen, state, args.t_max, args.steps)
     if args.out is None:
         trace.write_csv(sys.stdout)
@@ -176,15 +154,15 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_distances(args) -> int:
-    state, observables = load_problem(args.input, args.tol)
-    a, b = (_resolve(observables, name) for name in args.pair)
+    state, observables = load_problem(args.input, args.tol, args.pair)
+    a, b = (observables[name] for name in args.pair)
     _emit(triangle_report(a, b, state, args.metric_scale).to_dict(), args.format)
     return 0
 
 
 def cmd_minimize(args) -> int:
-    state, observables = load_problem(args.input, args.tol)
-    a, b = (_resolve(observables, name) for name in args.pair)
+    state, observables = load_problem(args.input, args.tol, args.pair)
+    a, b = (observables[name] for name in args.pair)
     result = minimize_multistart(
         a,
         b,
@@ -207,8 +185,7 @@ def cmd_selftest(args) -> int:
     if args.n_random < 0:
         raise InvalidParameter(f"n-random must be >= 0, got {args.n_random}")
     if args.input is not None:
-        _, observables = load_problem(args.input, args.tol)
-        dict(observables)  # builds, and so validates, a grid's x and p
+        load_problem(args.input, args.tol)
         print(f"selftest: problem file {args.input!r} validates")
         return 0
     rng = np.random.default_rng(args.seed)

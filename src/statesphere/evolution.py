@@ -44,8 +44,7 @@ class FlowTrace:
 
 def flow(A: Observable, phi: State, t: float) -> State:
     """Evolve phi along the integral curve of the field -i A phi for time t."""
-    out = A.flows(phi.amplitudes, t)
-    return State(out / np.linalg.norm(out))
+    return State(_unit_columns(A.flows(phi.amplitudes, t)))
 
 
 def default_dt(A: Observable) -> float:
@@ -60,14 +59,16 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
     return m / np.linalg.norm(m, axis=0)
 
 
-def _arc_speeds(back: np.ndarray, fwd: np.ndarray, dt: float) -> np.ndarray:
-    """Fubini-Study distance between each column of back and of fwd, over 2 dt.
+def _central_speeds(A: Observable, states: np.ndarray, dt: float) -> np.ndarray:
+    """Fubini-Study speed of the flow through each column of states.
 
-    The distance is evaluated in the arcsin form (norm of the component of
-    one endpoint orthogonal to the other), which agrees with arccos of the
-    overlap but stays accurate for the tiny separations a central difference
-    produces.
+    Each column flows by -dt and by +dt, and the distance between the two
+    normalised ends, over 2 dt, is the speed.  The distance is evaluated in
+    the arcsin form (norm of the component of one end orthogonal to the
+    other), which agrees with arccos of the overlap but stays accurate for
+    the tiny separations a central difference produces.
     """
+    back, fwd = (_unit_columns(A.flows(states, s)) for s in (-dt, dt))
     perp = fwd - np.sum(back.conj() * fwd, axis=0) * back
     return np.arcsin(np.minimum(np.linalg.norm(perp, axis=0), 1.0)) / (2.0 * dt)
 
@@ -76,18 +77,16 @@ def projected_speed(A: Observable, phi: State, dt: float) -> float:
     """Finite-difference Fubini-Study speed of the projected trajectory at phi."""
     if dt <= 0:
         raise InvalidParameter(f"dt must be positive, got {dt}")
-    back = flow(A, phi, -dt).amplitudes
-    fwd = flow(A, phi, dt).amplitudes
-    return float(_arc_speeds(back[:, None], fwd[:, None], dt)[0])
+    return float(_central_speeds(A, phi.amplitudes[:, None], dt)[0])
 
 
 def trace_flow(A: Observable, phi: State, t_max: float, steps: int) -> FlowTrace:
     """Sample the flow on a uniform time grid of `steps` points.
 
     The states at the sample times come from one transform of phi, with
-    their phases applied as one batch; each then flows by -dt and by +dt,
-    as projected_speed does, in two more batches.  A step dt from the
-    state at t keeps the phase rounding of e^{-i lambda dt} near eps *
+    their phases applied as one batch; projected_speed's central difference
+    takes the speeds at all of them in two more batches.  A step dt from
+    the state at t keeps the phase rounding of e^{-i lambda dt} near eps *
     lambda dt, where a flow from phi to t -+ dt would round the phase of
     e^{-i lambda (t -+ dt)} by eps, a difference the central difference
     divides by dt.  The standard deviations take one batched matvec.
@@ -100,8 +99,7 @@ def trace_flow(A: Observable, phi: State, t_max: float, steps: int) -> FlowTrace
     times = np.linspace(0.0, t_max, steps)
     dt = default_dt(A)
     now = _unit_columns(A.flows(phi.amplitudes, times))
-    back, fwd = (_unit_columns(A.flows(now, s)) for s in (-dt, dt))
-    speeds = _arc_speeds(back, fwd, dt)
+    speeds = _central_speeds(A, now, dt)
     # the norms of the centred fields A u - <A> u, as std_dev takes them
     a_now = A.apply(now)
     means = np.sum(now.conj() * a_now, axis=0).real

@@ -321,6 +321,21 @@ def test_selftest_input_builds_both_grid_operators(grid_file, monkeypatch, capsy
     assert [c[0] for c in calls] == [1, 1]
 
 
+def test_unknown_generator_builds_no_grid_operator(grid_file, monkeypatch, capsys):
+    calls = [count_builds(monkeypatch, name) for name in ("position_op", "momentum_op")]
+    argv = ["evolve", "--input", grid_file, "--generator", "nope", "--t-max", "1", "--steps", "2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown observable 'nope'\n"
+    assert [c[0] for c in calls] == [0, 0]
+
+
+def test_load_problem_builds_a_repeated_name_once(grid_file, monkeypatch):
+    calls = [count_builds(monkeypatch, name) for name in ("position_op", "momentum_op")]
+    _, observables = cli.load_problem(grid_file, names=["p", "p"])
+    assert list(observables) == ["p"]
+    assert [c[0] for c in calls] == [0, 1]
+
+
 @pytest.mark.parametrize("problem, argv, eigh_calls", [
     pytest.param("grid16", ["distances", "--pair", "x", "p"], 0, id="grid-distances"),
     pytest.param("grid16", ["evolve", "--generator", "p", "--t-max", "1", "--steps", "4"], 0,
@@ -452,6 +467,22 @@ def test_magnitude_bound(tmp_path, capsys, argv):
     assert main(run) == 2
     assert capsys.readouterr().err == (
         f"error: observable 'a' has scale {above!r}, above the bound 1e+76 / n = {at!r} at n = 4\n"
+    )
+
+
+def test_magnitude_bound_reads_only_the_named_observables(tmp_path, capsys):
+    """An unused observable above the bound stops only selftest --input, which names it."""
+    above = float(np.nextafter(cli.MAGNITUDE_BOUND / 4, np.inf))
+    problem = magnitude_problem(1.0)
+    problem["observables"]["big"] = as_matrix(np.full((4, 4), above))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["report", "--input", str(path), "--pair", "a", "b"]) == 0
+    capsys.readouterr()
+    assert main(["selftest", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: observable 'big' has scale {above!r}, above the bound 1e+76 / n = "
+        f"{cli.MAGNITUDE_BOUND / 4!r} at n = 4\n"
     )
 
 
