@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import Observable, State
-from .serialize import FLOAT_FORMAT
+from .serialize import _csv_rows
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,20 @@ class FlowTrace:
     std_devs: np.ndarray
 
     def write_csv(self, fileobj) -> None:
-        """Columns: t, interleaved re/im of each amplitude, fs_speed, std_dev."""
+        """Columns: t, interleaved re/im of each amplitude, fs_speed, std_dev.
+
+        One CRLF-ended row per sample, every float as serialize.FLOAT_FORMAT
+        renders it.  Each row is built as serialize._csv_rows reaches it, so
+        no table of the whole trace is formed.
+        """
         n = self.states[0].dim
         amplitude_columns = [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
         fileobj.write(",".join(["t", *amplitude_columns, "fs_speed", "std_dev"]) + "\r\n")
-        amplitudes = np.array([st.amplitudes for st in self.states])
-        table = np.column_stack(
-            [self.times, amplitudes.view(float), self.fs_speeds, self.std_devs]
+        rows = (
+            np.concatenate(([t], state.amplitudes.view(float), [speed, dev]))
+            for t, state, speed, dev in zip(self.times, self.states, self.fs_speeds, self.std_devs)
         )
-        row_format = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\r\n"
-        fileobj.writelines(row_format.format(*row) for row in table.tolist())
+        _csv_rows(fileobj, rows)
 
 
 def flow(A: Observable, phi: State, t: float) -> State:

@@ -117,17 +117,18 @@ class DiagonalForm:
         row = self._column[-np.arange(n)]  # p_0b = c_-b
         return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1].copy()
 
-    def spectrum(self) -> tuple:
+    def spectrum(self) -> SpectralDecomposition:
         """The eigenvalues ascending, with the columns of F^-1 (unitary) as eigenvectors.
 
-        Those columns are the unit vectors, or for the DFT the plane waves
-        exp(2 pi i m j / n) / sqrt(n), one inverse FFT of the identity.
+        Those columns are the unit vectors, whose order the decomposition
+        records, or for the DFT the plane waves exp(2 pi i m j / n) / sqrt(n),
+        one inverse FFT of the identity.
         """
         order = np.argsort(self.values, kind="stable")
         vecs = np.eye(self.values.size, dtype=complex)[:, order]
         if self.fourier:
-            vecs = np.fft.ifft(vecs, axis=0, norm="ortho")
-        return self.values[order], vecs
+            return SpectralDecomposition(self.values[order], np.fft.ifft(vecs, axis=0, norm="ortho"))
+        return SpectralDecomposition(self.values[order], vecs, order)
 
 
 def _rowwise(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -197,8 +198,9 @@ class Observable:
     @cached_property
     def spectrum(self) -> SpectralDecomposition:
         """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
-        vals, vecs = np.linalg.eigh(self.matrix) if self.eigen is None else self.eigen.spectrum()
-        return SpectralDecomposition(vals, vecs)
+        if self.eigen is None:
+            return SpectralDecomposition(*np.linalg.eigh(self.matrix))
+        return self.eigen.spectrum()
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -238,12 +240,15 @@ class EigenSet:
 
     The orthonormal bases of the eigenspaces sit side by side in the columns
     of `basis`: eigenspace k spans the columns from starts[k] up to the next
-    start and has eigenvalue values[k].
+    start and has eigenvalue values[k].  `order`, where given, says that
+    `basis` is the identity's columns in that order: column j is the unit
+    vector e_order[j].
     """
 
     values: np.ndarray
     starts: np.ndarray
     basis: np.ndarray
+    order: np.ndarray | None = None
 
     @property
     def rays(self) -> bool:
@@ -271,10 +276,14 @@ class EigenSet:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvector columns.
+
+    `order`, where given, says the columns are the identity's, in that order.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    order: np.ndarray | None = None
 
     @cached_property
     def adjoint(self) -> np.ndarray:
@@ -295,7 +304,7 @@ class SpectralDecomposition:
         gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
         starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
         values = np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
-        return EigenSet(values, starts, self.eigenvectors)
+        return EigenSet(values, starts, self.eigenvectors, self.order)
 
     def eigenspaces(self) -> list:
         """(eigenvalue, basis) pairs of the clustered eigenspaces."""

@@ -147,6 +147,16 @@ class TestEvolve:
         for line in lines[1:]:
             assert float(line.split(",")[speed_col]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_out_file_matches_stdout(self, grid_file, tmp_path, capsys):
+        argv = ["evolve", "--input", grid_file, "--generator", "p", "--t-max", "2", "--steps", "16"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "trace.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+        assert printed.count("\r\n") == 17
+
     def test_eigenstate_zero_speed(self, pauli_file, capsys):
         rc = main([
             "evolve", "--input", pauli_file, "--generator", "sz",

@@ -1,4 +1,5 @@
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -23,10 +24,26 @@ from statesphere import (
     trace_flow,
     validate_state,
 )
+from statesphere.serialize import FLOAT_FORMAT
 
 from conftest import hermitian, random_hermitian, random_state
 
 EPS = np.finfo(float).eps
+
+
+def reference_csv(trace) -> str:
+    """write_csv's text with every row formatted value by value by FLOAT_FORMAT."""
+    n = trace.states[0].dim
+    header = ",".join(["t", *(f"{part}_{k}" for k in range(n) for part in ("re", "im")),
+                       "fs_speed", "std_dev"])
+    table = np.column_stack([
+        trace.times,
+        np.array([st.amplitudes for st in trace.states]).view(float),
+        trace.fs_speeds,
+        trace.std_devs,
+    ])
+    row_format = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\r\n"
+    return header + "\r\n" + "".join(row_format.format(*row) for row in table.tolist())
 
 
 class TestFlow:
@@ -183,6 +200,30 @@ class TestTraceFlow:
         row = lines[1].split(",")
         assert float(row[0]) == 0.0
         assert float(row[-1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64])
+    def test_csv_matches_value_by_value_format(self, n):
+        rng = np.random.default_rng(n)
+        a = random_hermitian(rng, n, unit_entries=False)
+        trace = trace_flow(a, random_state(rng, n), rng.uniform(0.1, 10.0), int(rng.integers(2, 40)))
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        assert buf.getvalue() == reference_csv(trace)
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_csv_memory_stays_bounded(self, n):
+        # the rows are rendered a block at a time: no table of the trace or
+        # of its text is held
+        g = Grid(n, 40.0)
+        trace = trace_flow(momentum_op(g), gaussian(g, 1.0, -0.5, 1.0), 2.0, 64)
+        with open(os.devnull, "w", newline="") as sink:
+            tracemalloc.start()
+            try:
+                trace.write_csv(sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2e6
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from statesphere import (
     momentum_op,
     normalize,
     position_op,
+    projective,
     spectral,
     std_dev,
     triangle_report,
@@ -196,6 +199,22 @@ class TestEigensetDistance:
         g = Grid(32, 40.0)
         x, p = position_op(g), momentum_op(g)
         assert abs(eigenset_distance(x, p) - pairwise_set_distance(x, p)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_grid_distances_equal_product_route(self, n, monkeypatch):
+        # x's eigenbasis is the identity's columns: its overlaps are read off
+        # the other basis, exactly what multiplying by it gave
+        g = Grid(n, 40.0)
+        x, p = position_op(g), momentum_op(g)
+        phi = random_state(np.random.default_rng(n), n)
+        assert eigenset(x).order is not None and eigenset(p).order is None
+
+        def distances():
+            return [eigenset_distance(x, p), eigenset_distance(p, x), dist_to_eigenset(x, phi)]
+
+        read_off = distances()
+        monkeypatch.setattr(projective, "eigenset", lambda a: replace(spectral(a).eigenset, order=None))
+        assert read_off == distances()
 
     def test_svd_calls_grow_with_width_groups_not_pairs(self, monkeypatch):
         rng = np.random.default_rng(10)
