@@ -8,15 +8,14 @@ finite dimension (the commutator is traceless, i hbar n I is not), but for
 states concentrated away from the box boundary the residual is tiny, and
 discretized Gaussians reproduce dx dp = hbar/2 to 1e-6 at n = 512.
 
-Both operators carry their closed-form eigendecomposition, a DiagonalForm:
-x is diagonal on the grid points, and p is diag(hbar k) in the DFT basis.
-Their matvecs are `points * v` and ifft(hbar k * fft(v)), their flows are
-phases on the grid or in Fourier space, and their scales come in closed
-form, all in O(n log n); their `spectrum` never calls np.linalg.eigh.  Each
-still builds its n x n matrix eagerly (p's as the exactly Hermitian
-circulant of one inverse FFT, filled in O(n^2)), which only the
-optimizer reads.  Observables read from a problem file take the dense
-routes.
+Both operators carry their closed-form eigendecomposition, a DiagonalForm,
+which is also their spectrum: x is the grid points with the unit vectors,
+p is hbar k with the plane waves of the DFT.  Their matvecs, flows, scales
+and distances from a state to their eigenstate sets cost O(n log n), and
+none calls np.linalg.eigh.  Each still builds its n x n matrix eagerly (p's
+as the exactly Hermitian circulant of one inverse FFT, filled in O(n^2)),
+which only the optimizer reads.  Observables read from a problem file take
+the dense routes.
 """
 
 from __future__ import annotations

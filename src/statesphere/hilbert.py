@@ -1,8 +1,9 @@
 """Finite-dimensional complex Hilbert space core.
 
 States are unit vectors on the sphere of normalized states; observables are
-Hermitian operators, each applied by its own matvec: a dense matrix
-product, or for grid x and p a diagonal in the grid or the Fourier basis.
+Hermitian operators, each with its own matvec and spectrum: a dense matrix
+product and np.linalg.eigh, or for grid x and p a diagonal in the grid or
+the Fourier basis, whose spectrum is known in closed form.
 The inner product is conjugate-linear in the SECOND argument, i.e.
 inner(xi, eta) = sum_k xi_k * conj(eta_k).  The opposite
 convention flips the sign of the symplectic form downstream, so everything
@@ -58,17 +59,32 @@ class State:
         return self.amplitudes.size
 
 
+class Spectrum:
+    """Ascending `eigenvalues`, `eigenvectors` U, `coefficients(m)` = U^dagger m and `flows`."""
+
+    @cached_property
+    def eigenset(self) -> EigenSet:
+        """The eigenspaces, clustered once."""
+        return EigenSet(self)
+
+    def eigenspaces(self) -> list:
+        """(eigenvalue, basis) pairs of the clustered eigenspaces."""
+        return self.eigenset.eigenspaces
+
+
 @dataclass(frozen=True)
-class DiagonalForm:
+class DiagonalForm(Spectrum):
     """The operator F^-1 diag(values) F, where F is the identity or the DFT.
 
     `values` are the eigenvalues in F's order.  F is np.fft.fft along the
     first axis, unnormalised, and F^-1 is np.fft.ifft: no sqrt(n) enters a
     matvec or a flow, so both cost O(n log n) per vector.  The operator is
-    Hermitian by construction, and its matrix, its scale and its spectrum
-    follow in closed form.  For the DFT the matrix is the circulant whose
-    first column is c = ifft(values) with c_d set to (c_d + conj(c_-d)) / 2,
-    which makes it exactly Hermitian.
+    Hermitian by construction, and its matrix and its scale follow in closed
+    form.  For the DFT the matrix is the circulant whose first column is
+    c = ifft(values) with c_d set to (c_d + conj(c_-d)) / 2, which makes it
+    exactly Hermitian.  It is its own spectrum, whose eigenvectors U, the
+    unit vectors or the plane waves exp(2 pi i m j / n) / sqrt(n), are built
+    only when read: U^dagger m is a gather of m or of fft(m, norm="ortho").
     """
 
     values: np.ndarray
@@ -117,18 +133,24 @@ class DiagonalForm:
         row = self._column[-np.arange(n)]  # p_0b = c_-b
         return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1].copy()
 
-    def spectrum(self) -> SpectralDecomposition:
-        """The eigenvalues ascending, with the columns of F^-1 (unitary) as eigenvectors.
+    @cached_property
+    def _ascending(self) -> np.ndarray:
+        """The permutation that sorts `values`."""
+        return np.argsort(self.values, kind="stable")
 
-        Those columns are the unit vectors, whose order the decomposition
-        records, or for the DFT the plane waves exp(2 pi i m j / n) / sqrt(n),
-        one inverse FFT of the identity.
-        """
-        order = np.argsort(self.values, kind="stable")
-        vecs = np.eye(self.values.size, dtype=complex)[:, order]
-        if self.fourier:
-            return SpectralDecomposition(self.values[order], np.fft.ifft(vecs, axis=0, norm="ortho"))
-        return SpectralDecomposition(self.values[order], vecs, order)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues, ascending."""
+        return self.values[self._ascending]
+
+    def coefficients(self, m: np.ndarray) -> np.ndarray:
+        """U^dagger m: the rows of m, or of fft(m, norm="ortho"), in ascending eigenvalue order."""
+        return (np.fft.fft(m, axis=0, norm="ortho") if self.fourier else m)[self._ascending]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """U, the eigenvectors in ascending eigenvalue order, built as (U^dagger I)^dagger."""
+        return self.coefficients(np.eye(self.values.size, dtype=complex)).conj().T
 
 
 def _rowwise(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -159,9 +181,10 @@ class Observable:
     `eigen`, where given (grid x and p), is the operator's closed-form
     eigendecomposition, and `matrix` the matrix it builds.  Such an
     observable is Hermitian by construction and is not scanned; its matvec,
-    flows and scale come from `eigen` in O(n log n), and its spectrum never
-    calls np.linalg.eigh.  The scale and the spectrum are computed once, on
-    first use, and cached; the matrix must not be mutated in place.
+    flows and scale come from `eigen` in O(n log n), and `eigen` is its
+    spectrum, so np.linalg.eigh is never called.  The scale and the spectrum
+    are computed once, on first use, and cached; the matrix must not be
+    mutated in place.
     """
 
     matrix: np.ndarray
@@ -196,16 +219,16 @@ class Observable:
         return float(np.abs(self.matrix).max(initial=1.0))
 
     @cached_property
-    def spectrum(self) -> SpectralDecomposition:
-        """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition with ascending eigenvalues: `eigen`, or else eigh's."""
         if self.eigen is None:
             return SpectralDecomposition(*np.linalg.eigh(self.matrix))
-        return self.eigen.spectrum()
+        return self.eigen
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The eigenvalues: ascending, or for `eigen` in closed form, in its order."""
-        return self.spectrum.eigenvalues if self.eigen is None else self.eigen.values
+        """The eigenvalues, ascending."""
+        return self.spectrum.eigenvalues
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v, for a vector or for each column of an n x m array."""
@@ -217,17 +240,10 @@ class Observable:
 
         v is a vector, or an n x m array whose columns all flow for the one
         time t; a vector may instead flow for each time of an array t, one
-        column per time.
-
-        The phases are applied in the eigenbasis: a dense observable's as
-        V (P * V^dagger v), where P holds the phases, and x's and p's through
-        `eigen`.
+        column per time.  The spectrum applies the phases in its eigenbasis.
         """
         self._require_dim(v)
-        if self.eigen is not None:
-            return self.eigen.flows(v, t)
-        dec = self.spectrum
-        return dec.eigenvectors @ _phased(dec.eigenvalues, t, dec.adjoint @ v)
+        return self.spectrum.flows(v, t)
 
     def _require_dim(self, v: np.ndarray) -> None:
         if v.shape[0] != self.dim:
@@ -236,35 +252,52 @@ class Observable:
 
 @dataclass(frozen=True)
 class EigenSet:
-    """Mutually orthogonal eigenspaces: an observable's, or the one ray of a state.
+    """The eigenspaces of a spectrum: an observable's, or the one ray of a state.
 
-    The orthonormal bases of the eigenspaces sit side by side in the columns
-    of `basis`: eigenspace k spans the columns from starts[k] up to the next
-    start and has eigenvalue values[k].  `order`, where given, says that
-    `basis` is the identity's columns in that order: column j is the unit
-    vector e_order[j].
+    Neighbouring eigenvalues no more than DEGENERACY_GAP times the largest
+    magnitude apart share an eigenspace, valued at their mean; the zero
+    operator has one.  Eigenspace k is spanned by the columns of U =
+    spectrum.eigenvectors from starts[k] up to the next start.  Distances
+    read U through `coefficients`, m -> U^dagger m, which a closed form
+    applies without building U, and never through single eigenvectors.
     """
 
-    values: np.ndarray
-    starts: np.ndarray
-    basis: np.ndarray
-    order: np.ndarray | None = None
+    spectrum: Spectrum
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The first column of each eigenspace."""
+        vals = self.spectrum.eigenvalues
+        gap = DEGENERACY_GAP * float(np.max(np.abs(vals)))
+        return np.flatnonzero(np.diff(vals, prepend=-np.inf) > gap)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The eigenvalue of each eigenspace."""
+        return np.add.reduceat(self.spectrum.eigenvalues, self.starts) / self.widths
+
+    @property
+    def basis(self) -> np.ndarray:
+        """U, the orthonormal bases of the eigenspaces side by side."""
+        return self.spectrum.eigenvectors
+
+    def coefficients(self, m: np.ndarray) -> np.ndarray:
+        """U^dagger m, the coordinates of the columns of m in the eigenbasis."""
+        return self.spectrum.coefficients(m)
 
     @property
     def rays(self) -> bool:
         """Whether every eigenspace is one ray."""
-        return self.values.size == self.basis.shape[1]
+        return self.starts.size == self.spectrum.eigenvalues.size
 
     @cached_property
     def widths(self) -> np.ndarray:
         """Dimension of each eigenspace."""
-        return np.diff(self.starts, append=self.basis.shape[1])
+        return np.diff(self.starts, append=self.spectrum.eigenvalues.size)
 
     @cached_property
     def groups(self) -> list:
         """(width, columns) per distinct width: row k of columns spans its k-th eigenspace."""
-        if self.rays:
-            return [(1, self.starts[:, None])]
         w = self.widths
         return [(k, self.starts[w == k, None] + np.arange(k)) for k in np.unique(w)]
 
@@ -275,40 +308,24 @@ class EigenSet:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues with orthonormal eigenvector columns.
-
-    `order`, where given, says the columns are the identity's, in that order.
-    """
+class SpectralDecomposition(Spectrum):
+    """Ascending eigenvalues with orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    order: np.ndarray | None = None
 
     @cached_property
     def adjoint(self) -> np.ndarray:
         """V^dagger, the conjugate transpose of the eigenvector columns V."""
         return self.eigenvectors.conj().T
 
-    @cached_property
-    def eigenset(self) -> EigenSet:
-        """Near-degenerate eigenvalues grouped into eigenspaces, once.
+    def coefficients(self, m: np.ndarray) -> np.ndarray:
+        """V^dagger m."""
+        return self.adjoint @ m
 
-        Neighbouring eigenvalues closer than DEGENERACY_GAP relative to the
-        largest magnitude share an eigenspace, whose value is the mean of
-        its eigenvalues.  Consumers that need basis-independent quantities
-        (distances to eigenstate sets) must use these eigenspaces, never
-        the raw eigenvector columns.
-        """
-        vals = self.eigenvalues
-        gap = DEGENERACY_GAP * max(1.0, float(np.max(np.abs(vals))))
-        starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= gap)
-        values = np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
-        return EigenSet(values, starts, self.eigenvectors, self.order)
-
-    def eigenspaces(self) -> list:
-        """(eigenvalue, basis) pairs of the clustered eigenspaces."""
-        return self.eigenset.eigenspaces
+    def flows(self, v: np.ndarray, t) -> np.ndarray:
+        """e^{-iAt} v as V (P * V^dagger v), where P holds the phases."""
+        return self.eigenvectors @ _phased(self.eigenvalues, t, self.adjoint @ v)
 
 
 def _hermitian_residual(m: np.ndarray) -> float:
@@ -390,6 +407,6 @@ def centered(A: Observable, phi: State) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u: A.apply(u) - mean * u
 
 
-def spectral(A: Observable) -> SpectralDecomposition:
+def spectral(A: Observable) -> Spectrum:
     """Eigendecomposition with ascending eigenvalues, orthonormal columns."""
     return A.spectrum

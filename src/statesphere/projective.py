@@ -16,9 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .hilbert import EigenSet, Observable, State, spectral
-
-_RAY_VALUES, _RAY_STARTS = np.ones(1), np.zeros(1, dtype=int)
+from .hilbert import EigenSet, Observable, SpectralDecomposition, State, spectral
 
 
 @dataclass(frozen=True)
@@ -34,28 +32,9 @@ class TriangleReport:
         return asdict(self)
 
 
-def _require_scale(scale: float) -> None:
-    if not (math.isfinite(scale) and scale > 0):
-        raise InvalidParameter(f"scale must be positive and finite, got {scale}")
-
-
 def _ray(phi: State) -> EigenSet:
     """The ray of phi, the one eigenspace of |phi><phi| with eigenvalue 1."""
-    return EigenSet(_RAY_VALUES, _RAY_STARTS, phi.amplitudes[:, None])
-
-
-def _overlap(rows: EigenSet, cols: EigenSet) -> np.ndarray:
-    """rows.basis^H cols.basis.
-
-    Where one basis is the identity's columns (grid x's), each entry of the
-    product is 1 * z plus zeros, exactly the entry z of the other basis, so
-    the entries are read off in O(n^2) instead of multiplied in O(n^3).
-    """
-    if rows.order is not None:
-        return cols.basis[rows.order]
-    if cols.order is not None:
-        return rows.basis[cols.order].conj().T
-    return rows.basis.conj().T @ cols.basis
+    return EigenSet(SpectralDecomposition(np.ones(1), phi.amplitudes[:, None]))
 
 
 def _set_distance(rows: EigenSet, cols: EigenSet, scale: float) -> float:
@@ -63,12 +42,14 @@ def _set_distance(rows: EigenSet, cols: EigenSet, scale: float) -> float:
 
     For each eigenspace pair (P, Q) the closest rays are separated by the
     smallest principal angle, arccos of the largest singular value of the
-    block P^H Q of the one overlap matrix rows.basis^H cols.basis (Bjorck &
-    Golub, Math. Comp. 27, 1973).  Blocks of one shape are gathered into a
-    stack and reduced together, so Python iterates over the distinct
-    (width, width) shapes, never over eigenspace pairs.
+    block P^H Q of the one overlap matrix rows.coefficients(cols.basis)
+    (Bjorck & Golub, Math. Comp. 27, 1973).  Blocks of one shape are
+    gathered into a stack and reduced together, so Python iterates over the
+    distinct (width, width) shapes, never over eigenspace pairs.
     """
-    overlap = _overlap(rows, cols)
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidParameter(f"scale must be positive and finite, got {scale}")
+    overlap = rows.coefficients(cols.basis)
     if rows.rays and cols.rays:
         # each block is one entry, whose modulus is its singular value: no gather
         best = math.sqrt((overlap.real**2 + overlap.imag**2).max())
@@ -90,7 +71,6 @@ def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
     """Geodesic distance between the rays of phi and psi."""
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"state dims {phi.dim} != {psi.dim}")
-    _require_scale(scale)
     return _set_distance(_ray(psi), _ray(phi), scale)
 
 
@@ -107,7 +87,6 @@ def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
     """
     if A.dim != phi.dim:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
-    _require_scale(scale)
     return _set_distance(eigenset(A), _ray(phi), scale)
 
 
@@ -119,7 +98,6 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
-    _require_scale(scale)
     return _set_distance(eigenset(B), eigenset(A), scale)
 
 
@@ -130,4 +108,7 @@ def triangle_report(
     d_phi_a = dist_to_eigenset(A, phi, scale)
     d_phi_b = dist_to_eigenset(B, phi, scale)
     d_a_b = eigenset_distance(A, B, scale)
-    return TriangleReport(d_phi_a, d_phi_b, d_a_b, d_phi_a + d_phi_b - d_a_b)
+    slack = d_phi_a + d_phi_b - d_a_b
+    if not math.isfinite(slack):  # as it is when any distance overflowed
+        raise InvalidParameter(f"scale {scale} overflows a distance or the triangle slack")
+    return TriangleReport(d_phi_a, d_phi_b, d_a_b, slack)

@@ -232,7 +232,7 @@ def _report_fields(a, b, phi) -> dict:
 def _non_degenerate(values) -> None:
     """Reject a spectrum the program would cluster: the distances below take one ray per eigenvalue."""
     gap = min(b - a for a, b in zip(values, values[1:]))
-    if gap < DEGENERACY_GAP * max(1, max(abs(v) for v in values)):
+    if gap <= DEGENERACY_GAP * max(abs(v) for v in values):
         raise ValueError("the oracle's distances handle non-degenerate spectra only")
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -9,6 +11,8 @@ from statesphere import (
     Observable,
     SupportViolation,
     commutator_residual,
+    dist_to_eigenset,
+    eigenset,
     eigenset_distance,
     expectation,
     gaussian,
@@ -19,8 +23,9 @@ from statesphere import (
     relations_report,
     std_dev,
     trace_flow,
+    triangle_report,
 )
-from statesphere.canonical import _wavenumbers
+from statesphere.canonical import _momentum, _position, _wavenumbers
 
 from oracle import DIGITS, _grid_operators, entry_error
 
@@ -173,19 +178,19 @@ class TestGaussian:
 
 @pytest.mark.parametrize("g", SPECTRUM_GRIDS, ids=lambda g: f"n={g.n}")
 class TestExactSpectra:
-    """The closed-form spectra of x and p against np.linalg.eigh of their matrices."""
+    """The closed-form eigensets of x and p against np.linalg.eigh of their matrices."""
 
     def test_position_is_bit_for_bit_eigh(self, g):
         x = position_op(g)
         vals, vecs = np.linalg.eigh(x.matrix)
-        assert np.array_equal(x.spectrum.eigenvalues, vals)
-        assert np.array_equal(x.spectrum.eigenvectors, vecs)
+        assert np.array_equal(x.eigenvalues, vals)
+        assert np.array_equal(eigenset(x).basis, vecs)
 
     def test_momentum_is_an_orthonormal_eigenbasis(self, g):
         # eigvalsh's backward error is relative to |p|_2, the largest |hbar k|;
         # the residual, which carries the rounding of p's entries, to p's scale
         p = momentum_op(g)
-        vals, vecs = p.spectrum.eigenvalues, p.spectrum.eigenvectors
+        vals, vecs = p.eigenvalues, eigenset(p).basis
         norm = float(np.abs(vals).max())
         assert np.all(np.diff(vals) > 0)
         assert np.abs(vals - np.linalg.eigvalsh(p.matrix)).max() <= g.n * EPS * norm
@@ -199,11 +204,64 @@ class TestExactSpectra:
 
     def test_spectra_are_built_on_first_use(self, g):
         # until then the matrix is the only array an operator holds; the
-        # closed form rides on a plain Observable, not a subclass
+        # closed form rides on a plain Observable, not a subclass, and is
+        # its spectrum
         for op in (position_op(g), momentum_op(g)):
             assert type(op) is Observable and op.eigen is not None
             arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
             assert len(arrays) == 1 and arrays[0] is op.matrix
+            assert op.spectrum is op.eigen
+
+
+def closed_form_only(form) -> Observable:
+    """An Observable of a closed form whose matrix is a zero-strided stand-in.
+
+    The closed form never reads its matrix, and the real one would take
+    16 n^2 bytes: 4 GiB at n = 2**14.
+    """
+    return Observable(np.broadcast_to(np.complex128(0), (form.values.size,) * 2), form)
+
+
+# Bytes per grid point that a distance from a state to x's or p's eigenset
+# may allocate: the eigenvalues sorted and clustered, and one FFT of the
+# state, each a few arrays of n floats.
+DISTANCE_BYTES_PER_POINT = 128
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+@pytest.mark.parametrize("build", [_position, _momentum], ids=["x", "p"])
+def test_state_to_eigenset_distance_allocates_order_n(n, build):
+    # the first call clusters the eigenvalues; neither it nor the distance
+    # builds an n x n eigenbasis
+    g = Grid(n, 40.0)
+    op = closed_form_only(build(g))
+    phi = gaussian(g, 1.0, 0.5, 2.0)
+    tracemalloc.start()
+    try:
+        d = dist_to_eigenset(op, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < d < np.pi / 2
+    assert peak <= DISTANCE_BYTES_PER_POINT * n
+    assert "eigenvectors" not in vars(op.spectrum)
+
+
+def test_si_unit_grid_distances_are_the_closed_forms():
+    # every p eigenvalue is below 1e-23 in magnitude; the eigenspaces must
+    # still be one per eigenvalue, whatever the units
+    g = Grid(64, 1e-9, hbar=1.054571817e-34)
+    x, p = position_op(g), momentum_op(g)
+    assert eigenset(x).values.size == eigenset(p).values.size == g.n
+    phi = gaussian(g, 0.1e-9, 0.0, 0.6e-10)
+    v = phi.amplitudes
+    rep = triangle_report(x, p, phi)
+    exact = [np.arccos(np.abs(v).max()), np.arccos(np.abs(np.fft.fft(v, norm="ortho")).max()),
+             np.arccos(1 / np.sqrt(g.n))]
+    assert np.abs(np.subtract([rep.d_phi_a, rep.d_phi_b, rep.d_a_b], exact)).max() <= g.n * EPS
+    # the distances do not depend on the units
+    unit = Grid(64, 1.0)
+    assert rep == triangle_report(position_op(unit), momentum_op(unit), phi)
 
 
 def matrix_scale(m: np.ndarray) -> float:

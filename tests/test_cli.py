@@ -372,6 +372,42 @@ def test_eigh_runs_only_for_file_observables(tmp_path, monkeypatch, capsys, prob
     assert calls[0] == eigh_calls
 
 
+@pytest.mark.parametrize("problem, pair, scale, code", [
+    pytest.param("grid16", ["x", "p"], "1.5e308", 2, id="grid16-overflows"),
+    pytest.param("dense4", ["a", "b"], "1e308", 0, id="dense4-finite"),
+])
+def test_metric_scale_overflow_exits_2(tmp_path, capsys, problem, pair, scale, code):
+    # a scale near the largest double may overflow a distance or the slack:
+    # an error, never an inf or a nan on stdout
+    path = tmp_path / f"{problem}.json"
+    path.write_text(json.dumps(json.loads(GOLDEN.read_text())["problems"][problem]))
+    rc = main(["distances", "--input", str(path), "--pair", *pair, "--metric-scale", scale])
+    out, err = capsys.readouterr()
+    assert rc == code
+    if code == 0:
+        assert err == "" and all(np.isfinite(list(json.loads(out).values())))
+    else:
+        assert out == "" and err.startswith("error: ") and "overflows" in err
+
+
+def test_distances_on_an_si_unit_grid_are_the_closed_forms(tmp_path, capsys):
+    # hbar k is below 1e-23 for every eigenvalue of p: each is still its own eigenspace
+    g = Grid(64, 1e-9, hbar=1.054571817e-34)
+    problem = {"dim": 64, "state": as_pairs(gaussian(g, -0.1e-9, 0.0, 0.7e-10).amplitudes),
+               "grid": {"n": 64, "length": 1e-9, "hbar": 1.054571817e-34}}
+    path = tmp_path / "si.json"
+    path.write_text(json.dumps(problem))
+    assert main(["distances", "--input", str(path), "--pair", "x", "p"]) == 0
+    fields = json.loads(capsys.readouterr().out)
+    v = np.array([complex(re, im) for re, im in problem["state"]])
+    v /= np.linalg.norm(v)
+    exact = {"d_phi_a": np.arccos(np.abs(v).max()),
+             "d_phi_b": np.arccos(np.abs(np.fft.fft(v, norm="ortho")).max()),
+             "d_a_b": np.arccos(1 / 8)}
+    for name, value in exact.items():
+        assert abs(fields[name] - value) <= 64 * np.finfo(float).eps, name
+
+
 def sigma_x_problem(*missing, **fields):
     """A valid dim-2 problem with observable 'a', the given fields replaced or left out."""
     problem = {"dim": 2, "state": as_pairs([1, 0]),

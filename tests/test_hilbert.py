@@ -273,6 +273,19 @@ class TestSpectral:
         assert len(spaces) == 2
         assert spaces[0][1].shape == (3, 2)
 
+    @pytest.mark.parametrize("size", [1e-20, 1e-3, 1.0, 1e20])
+    def test_degeneracy_gap_is_relative_at_any_magnitude(self, size):
+        # eigenvalues split where they differ by more than DEGENERACY_GAP
+        # times the largest magnitude, below 1 as above it
+        for diagonal, widths in [([1.0, 1.0, 2.0], [2, 1]), ([1.0, 1.0 + 1e-12, 2.0], [2, 1]),
+                                 ([1.0, 1.0 + 1e-6, 2.0], [1, 1, 1])]:
+            spaces = spectral(Observable(size * np.diag(diagonal))).eigenspaces()
+            assert [basis.shape[1] for _, basis in spaces] == widths
+
+    def test_zero_operator_is_one_eigenspace(self):
+        spaces = spectral(Observable(np.zeros((3, 3)))).eigenspaces()
+        assert len(spaces) == 1 and spaces[0][0] == 0.0
+
     def test_decomposed_once_per_observable(self, monkeypatch):
         calls = []
         for name in ("eigh", "eigvalsh"):

@@ -1,7 +1,6 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from mpmath import mp
 
 from statesphere import (
     DimensionMismatch,
@@ -16,7 +15,6 @@ from statesphere import (
     momentum_op,
     normalize,
     position_op,
-    projective,
     spectral,
     std_dev,
     triangle_report,
@@ -24,6 +22,9 @@ from statesphere import (
 )
 
 from conftest import random_hermitian, random_state, random_unitary
+from oracle import DIGITS
+
+EPS = np.finfo(float).eps
 
 
 def with_widths(rng, widths):
@@ -53,6 +54,43 @@ def per_space_distance(a, phi):
     """The definition, space by space: arccos of max over eigenspaces of |P phi|."""
     best = max(np.linalg.norm(p.conj().T @ phi.amplitudes) for _, p in spectral(a).eigenspaces())
     return float(np.arccos(min(best, 1.0)))
+
+
+def two_packets(rng, g: Grid):
+    """Two Gaussian packets with random widths, boosts and relative phase, inside the box."""
+    psi = np.zeros(g.n, dtype=complex)
+    for centre in (rng.uniform(-8.0, -2.0), rng.uniform(2.0, 8.0)):
+        sigma, k0 = rng.uniform(0.9, 1.6), rng.uniform(-1.0, 1.0)
+        weight = rng.uniform(0.5, 1.0) * np.exp(2j * np.pi * rng.uniform())
+        psi += weight * np.exp(-((g.points - centre) ** 2) / (4 * sigma**2) + 1j * k0 * g.points)
+    return normalize(psi)
+
+
+def plane_wave_product_distance(p, phi) -> float:
+    """arccos max |<w, phi>| over p's plane waves w, as one product with their matrix."""
+    order = np.argsort(p.eigen.values, kind="stable")
+    waves = np.fft.ifft(np.eye(p.dim, dtype=complex)[:, order], axis=0, norm="ortho")
+    overlap = waves.conj().T @ phi.amplitudes
+    return float(np.arccos(min(np.sqrt((overlap.real**2 + overlap.imag**2).max()), 1.0)))
+
+
+def exact_momentum_distance(phi):
+    """arccos max_m |<phi, w_m>| at DIGITS, w_m = exp(2 pi i m j / n) / sqrt(n).
+
+    Only the plane waves whose float64 overlap is within 1e-8 of the
+    largest are evaluated: the float64 overlaps are good to about 1e-15,
+    so no other one can be the largest.
+    """
+    n, v = phi.dim, phi.amplitudes
+    magnitudes = np.abs(np.fft.fft(v, norm="ortho"))
+    frequencies = np.fft.fftfreq(n, 1 / n).astype(int)
+    with mp.workdps(DIGITS):
+        exact = [mp.mpc(complex(z)) for z in v]
+        best = max(
+            abs(mp.fsum(z * mp.expjpi(mp.mpf(-2 * int(m) * j) / n) for j, z in enumerate(exact)))
+            for m in frequencies[magnitudes >= magnitudes.max() - 1e-8]
+        )
+        return mp.acos(best / mp.sqrt(n))
 
 
 class TestFsDistance:
@@ -201,20 +239,41 @@ class TestEigensetDistance:
         assert abs(eigenset_distance(x, p) - pairwise_set_distance(x, p)) <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
-    def test_grid_distances_equal_product_route(self, n, monkeypatch):
-        # x's eigenbasis is the identity's columns: its overlaps are read off
-        # the other basis, exactly what multiplying by it gave
+    def test_grid_distances_match_dense_route(self, n):
+        # x's and p's closed forms (a gather, an FFT) against eigh of their matrices
         g = Grid(n, 40.0)
         x, p = position_op(g), momentum_op(g)
+        dense_x, dense_p = Observable(x.matrix), Observable(p.matrix)
         phi = random_state(np.random.default_rng(n), n)
-        assert eigenset(x).order is not None and eigenset(p).order is None
+        pairs = [
+            (dist_to_eigenset(x, phi), dist_to_eigenset(dense_x, phi)),
+            (dist_to_eigenset(p, phi), dist_to_eigenset(dense_p, phi)),
+            (eigenset_distance(x, p), eigenset_distance(dense_x, dense_p)),
+            (eigenset_distance(p, x), eigenset_distance(dense_p, dense_x)),
+            (eigenset_distance(x, dense_p), eigenset_distance(dense_x, dense_p)),
+            (eigenset_distance(dense_p, x), eigenset_distance(dense_p, dense_x)),
+        ]
+        for closed, dense in pairs:
+            assert abs(closed - dense) <= n * EPS
 
-        def distances():
-            return [eigenset_distance(x, p), eigenset_distance(p, x), dist_to_eigenset(x, phi)]
-
-        read_off = distances()
-        monkeypatch.setattr(projective, "eigenset", lambda a: replace(spectral(a).eigenset, order=None))
-        assert read_off == distances()
+    def test_fft_route_is_no_less_accurate(self):
+        # p's state-to-set distance reads fft(phi, norm="ortho"); the product
+        # with its plane-wave matrix, which it replaced, is the reference.
+        # Against the 50-digit distance, the FFT route's error never exceeds
+        # the product route's by more than one rounding of the result.
+        rng = np.random.default_rng(21)
+        for n in (16, 64, 128):
+            g = Grid(n, 40.0)
+            p = momentum_op(g)
+            for _ in range(15):
+                phi = two_packets(rng, g)
+                exact = exact_momentum_distance(phi)
+                d, reference = dist_to_eigenset(p, phi), plane_wave_product_distance(p, phi)
+                with mp.workdps(DIGITS):
+                    fft_error = float(abs(mp.mpf(d) - exact))
+                    product_error = float(abs(mp.mpf(reference) - exact))
+                assert fft_error <= product_error + np.spacing(d)
+                assert fft_error <= n * EPS
 
     def test_svd_calls_grow_with_width_groups_not_pairs(self, monkeypatch):
         rng = np.random.default_rng(10)
