@@ -2,8 +2,8 @@
 
 Reads a problem file (JSON; complex numbers as [re, im] pairs), runs the
 requested analysis and emits deterministic JSON or CSV.  Exit codes:
-0 success, 1 I/O or parse failure, 2 validation failure, 3 dimension
-mismatch.
+0 success, 1 I/O or parse failure, 2 validation failure (or too little
+memory), 3 dimension mismatch.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .evolution import trace_flow
 from .hilbert import Observable, State, inner, spectral, validate_state
 from .optimize import minimize_multistart
 from .projective import triangle_report
-from .realify import metric_g
-from .uncertainty import centered_field, relations_report
+from .uncertainty import relations_report
 
 
 def _complex_array(value, depth: int, what: str) -> np.ndarray:
@@ -197,9 +196,8 @@ def cmd_selftest(args) -> int:
         b = _random_hermitian(rng, n)
         phi = validate_state(rng.standard_normal(n) + 1j * rng.standard_normal(n), tol=np.inf)
         rep = relations_report(a, b, phi)
-        x, y, v = centered_field(a, phi), centered_field(b, phi), phi.amplitudes
-        # The last two checks recompute a report field by a route the report
-        # does not take: the full matrices' commutator, and A's eigenbasis.
+        v = phi.amplitudes
+        # The anticommutator against the metric term, then two routes the report does not take.
         commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
         dec = spectral(a)
         weights = np.abs(dec.adjoint @ v) ** 2
@@ -208,7 +206,7 @@ def cmd_selftest(args) -> int:
             abs(rep.identity_residual) <= 1e-10
             and rep.robertson_slack >= -1e-10
             and rep.area_bound_slack >= -1e-10
-            and abs(rep.anticommutator_half - abs(metric_g(x, y))) <= 1e-10
+            and abs(rep.anticommutator_half - abs(rep.metric_term)) <= 1e-10
             and abs(rep.commutator_half - 0.5 * abs(inner(commutator @ v, v))) <= 1e-10
             and abs(rep.delta_a - math.sqrt(weights @ deviations**2)) <= 1e-10
         )
@@ -280,8 +278,8 @@ def main(argv=None) -> int:
     except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GeometryError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GeometryError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

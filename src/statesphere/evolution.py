@@ -22,10 +22,10 @@ from .serialize import _csv_rows
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Sampled trajectory with finite-difference speeds and deviations."""
+    """Sampled trajectory: row k of `amplitudes` is the unit state at times[k]."""
 
     times: np.ndarray
-    states: list
+    amplitudes: np.ndarray
     fs_speeds: np.ndarray
     std_devs: np.ndarray
 
@@ -36,12 +36,12 @@ class FlowTrace:
         renders it.  Each row is built as serialize._csv_rows reaches it, so
         no table of the whole trace is formed.
         """
-        n = self.states[0].dim
+        n = self.amplitudes.shape[1]
         amplitude_columns = [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
         fileobj.write(",".join(["t", *amplitude_columns, "fs_speed", "std_dev"]) + "\r\n")
         rows = (
-            np.concatenate(([t], state.amplitudes.view(float), [speed, dev]))
-            for t, state, speed, dev in zip(self.times, self.states, self.fs_speeds, self.std_devs)
+            np.concatenate(([t], u.view(float), [speed, dev]))
+            for t, u, speed, dev in zip(self.times, self.amplitudes, self.fs_speeds, self.std_devs)
         )
         _csv_rows(fileobj, rows)
 
@@ -108,4 +108,4 @@ def trace_flow(A: Observable, phi: State, t_max: float, steps: int) -> FlowTrace
     a_now = A.apply(now)
     means = np.sum(now.conj() * a_now, axis=0).real
     devs = np.linalg.norm(a_now - means * now, axis=0)
-    return FlowTrace(times, [State(c) for c in now.T], speeds, devs)
+    return FlowTrace(times, np.ascontiguousarray(now.T), speeds, devs)

@@ -33,9 +33,6 @@ from .errors import (
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-12
 DEGENERACY_GAP = 1e-8
-# Rows per block of the Hermiticity check: a block and the transposed
-# columns it is compared with stay in cache together.
-HERMITIAN_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ class Observable:
         _require_finite(self.scale, "observable")
         if self.eigen is not None:
             return
-        resid = _hermitian_residual(m)
+        resid = float(np.abs(m - m.conj().T).max())
         if resid > HERMITIAN_TOL * self.scale:
             raise NotHermitian(
                 f"matrix is not hermitian: residual {resid:.3e} exceeds tolerance"
@@ -258,8 +255,8 @@ class EigenSet:
     magnitude apart share an eigenspace, valued at their mean; the zero
     operator has one.  Eigenspace k is spanned by the columns of U =
     spectrum.eigenvectors from starts[k] up to the next start.  Distances
-    read U through `coefficients`, m -> U^dagger m, which a closed form
-    applies without building U, and never through single eigenvectors.
+    read U through spectrum.coefficients, m -> U^dagger m, which a closed
+    form applies without building U, and never through single eigenvectors.
     """
 
     spectrum: Spectrum
@@ -276,20 +273,6 @@ class EigenSet:
         """The eigenvalue of each eigenspace."""
         return np.add.reduceat(self.spectrum.eigenvalues, self.starts) / self.widths
 
-    @property
-    def basis(self) -> np.ndarray:
-        """U, the orthonormal bases of the eigenspaces side by side."""
-        return self.spectrum.eigenvectors
-
-    def coefficients(self, m: np.ndarray) -> np.ndarray:
-        """U^dagger m, the coordinates of the columns of m in the eigenbasis."""
-        return self.spectrum.coefficients(m)
-
-    @property
-    def rays(self) -> bool:
-        """Whether every eigenspace is one ray."""
-        return self.starts.size == self.spectrum.eigenvalues.size
-
     @cached_property
     def widths(self) -> np.ndarray:
         """Dimension of each eigenspace."""
@@ -304,7 +287,8 @@ class EigenSet:
     @property
     def eigenspaces(self) -> list:
         """(value, basis) pairs, one per eigenspace."""
-        return list(zip(self.values.tolist(), np.split(self.basis, self.starts[1:], axis=1)))
+        spaces = np.split(self.spectrum.eigenvectors, self.starts[1:], axis=1)
+        return list(zip(self.values.tolist(), spaces))
 
 
 @dataclass(frozen=True)
@@ -326,22 +310,6 @@ class SpectralDecomposition(Spectrum):
     def flows(self, v: np.ndarray, t) -> np.ndarray:
         """e^{-iAt} v as V (P * V^dagger v), where P holds the phases."""
         return self.eigenvectors @ _phased(self.eigenvalues, t, self.adjoint @ v)
-
-
-def _hermitian_residual(m: np.ndarray) -> float:
-    """max |m - m^dagger| over all entries, one block of rows at a time.
-
-    Each block is compared from its diagonal block rightwards: the entry
-    below the diagonal, m_lj - conj(m_jl), is minus the conjugate of the
-    one above it in exact arithmetic and in floating point, so it has the
-    same modulus and the maximum is that of the full comparison.
-    """
-    resid = 0.0
-    for i in range(0, m.shape[0], HERMITIAN_BLOCK_ROWS):
-        rows = slice(i, i + HERMITIAN_BLOCK_ROWS)
-        upper = m[rows, i:] - m[i:, rows].conj().T
-        resid = max(resid, float(np.abs(upper).max()))
-    return resid
 
 
 def _require_finite(magnitude: float, what: str) -> None:

@@ -2,10 +2,9 @@
 
 Distances carry an explicit `scale` multiplier: the geodesic distance
 arccos|<phi, psi>| at scale 1 ranges over [0, pi/2]; the spin-1/2 bound
-quoted as pi/2 in the literature corresponds to scale 2.  Every distance is
-one distance between sets of rays: a state is the one-ray set of its
-projector's eigenspace, and a degenerate observable's eigenstate set is
-measured through its eigenspaces, never through a particular eigenbasis.
+quoted as pi/2 in the literature corresponds to scale 2.  A degenerate
+observable's eigenstate set is measured through its eigenspaces, never
+through a particular eigenbasis.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .hilbert import EigenSet, Observable, SpectralDecomposition, State, spectral
+from .hilbert import EigenSet, Observable, State, spectral
 
 
 @dataclass(frozen=True)
@@ -32,46 +31,40 @@ class TriangleReport:
         return asdict(self)
 
 
-def _ray(phi: State) -> EigenSet:
-    """The ray of phi, the one eigenspace of |phi><phi| with eigenvalue 1."""
-    return EigenSet(SpectralDecomposition(np.ones(1), phi.amplitudes[:, None]))
-
-
-def _set_distance(rows: EigenSet, cols: EigenSet, scale: float) -> float:
-    """scale * arccos of the largest cosine of a principal angle between the sets.
-
-    For each eigenspace pair (P, Q) the closest rays are separated by the
-    smallest principal angle, arccos of the largest singular value of the
-    block P^H Q of the one overlap matrix rows.coefficients(cols.basis)
-    (Bjorck & Golub, Math. Comp. 27, 1973).  Blocks of one shape are
-    gathered into a stack and reduced together, so Python iterates over the
-    distinct (width, width) shapes, never over eigenspace pairs.
-    """
+def _scaled(angle: float, scale: float) -> float:
     if not (math.isfinite(scale) and scale > 0):
         raise InvalidParameter(f"scale must be positive and finite, got {scale}")
-    overlap = rows.coefficients(cols.basis)
-    if rows.rays and cols.rays:
-        # each block is one entry, whose modulus is its singular value: no gather
-        best = math.sqrt((overlap.real**2 + overlap.imag**2).max())
-        return scale * float(np.arccos(min(best, 1.0)))
-    best = 0.0
-    for wr, r in rows.groups:
-        for wc, c in cols.groups:
-            blocks = overlap[r[:, None, :, None], c[None, :, None, :]]
-            if wr == 1 or wc == 1:
-                # a single row or column has its length as singular value
-                smax = np.sqrt((blocks.real**2 + blocks.imag**2).sum(axis=(-2, -1)).max())
-            else:
-                smax = np.linalg.svd(blocks, compute_uv=False)[..., 0].max()
-            best = max(best, float(smax))
-    return scale * float(np.arccos(min(best, 1.0)))
+    return scale * float(angle)
+
+
+def _nearest_angle(coefficients: np.ndarray, starts: np.ndarray) -> float:
+    """Smallest angle from a unit vector u to an eigenspace, over the columns U^dagger u given.
+
+    U is a whole eigenbasis whose eigenspaces begin at `starts`, as in
+    EigenSet.  u's mass |U^dagger u|^2 is summed per eigenspace, and its
+    angle to the nearest is atan2(sqrt(outside), sqrt(inside)), inside the
+    largest mass and outside the sum of the rest: neither is a difference,
+    so it keeps its digits near 0, where arccos near 1 loses half of them.
+    """
+    mass = np.add.reduceat(coefficients.real**2 + coefficients.imag**2, starts)
+    inside = mass.max(axis=0)
+    mass[mass.argmax(axis=0), np.arange(mass.shape[1])] = 0.0
+    return np.arctan2(np.sqrt(mass.sum(axis=0)), np.sqrt(inside)).min(initial=np.pi / 2)
 
 
 def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
-    """Geodesic distance between the rays of phi and psi."""
+    """Geodesic distance between the rays of phi and psi.
+
+    atan2(|u - v <u, v>|, |<u, v>|) is accurate near 0 too.  It is taken both
+    ways round and the smaller kept, so that it is exactly symmetric.
+    """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"state dims {phi.dim} != {psi.dim}")
-    return _set_distance(_ray(psi), _ray(phi), scale)
+    angles = []
+    for u, v in ((phi.amplitudes, psi.amplitudes), (psi.amplitudes, phi.amplitudes)):
+        c = np.vdot(v, u)  # <u, v>
+        angles.append(math.atan2(np.linalg.norm(u - c * v), abs(c)))
+    return _scaled(min(angles), scale)
 
 
 def eigenset(A: Observable) -> EigenSet:
@@ -82,23 +75,41 @@ def eigenset(A: Observable) -> EigenSet:
 def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
     """Distance from the ray of phi to the set of eigenstates of A.
 
-    Minimum over eigenspaces P of scale * arccos(|P^H phi|); zero exactly
+    Minimum over eigenspaces P of the angle between phi and P; zero exactly
     when phi lies in some eigenspace.
     """
     if A.dim != phi.dim:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
-    return _set_distance(eigenset(A), _ray(phi), scale)
+    s = eigenset(A)
+    coefficients = s.spectrum.coefficients(phi.amplitudes[:, None])
+    return _scaled(_nearest_angle(coefficients, s.starts), scale)
 
 
 def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float:
     """Distance between the eigenstate sets of A and B.
 
     The minimum over eigenspace pairs of their smallest principal angle;
-    zero exactly when A and B share an eigenvector.
+    zero exactly when A and B share an eigenvector.  A pair with a ray takes
+    _nearest_angle.  A pair (P, Q) of wider eigenspaces takes arccos of the
+    largest singular value of the block P^H Q of the overlap matrix (Bjorck &
+    Golub, Math. Comp. 27, 1973), with the blocks stacked by shape, so Python
+    iterates over the distinct (width, width) shapes, not eigenspace pairs.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
-    return _set_distance(eigenset(B), eigenset(A), scale)
+    a, b = eigenset(A), eigenset(B)
+    overlap = b.spectrum.coefficients(a.spectrum.eigenvectors)
+    if a.widths.max() == 1:  # every eigenspace of A is a ray
+        return _scaled(_nearest_angle(overlap, b.starts), scale)
+    angle = min(_nearest_angle(overlap[:, a.starts[a.widths == 1]], b.starts),
+                _nearest_angle(overlap[b.starts[b.widths == 1]].T, a.starts))
+    for wb, r in b.groups:
+        for wa, c in a.groups:
+            if wa > 1 and wb > 1:
+                blocks = overlap[r[:, None, :, None], c[None, :, None, :]]
+                smax = np.linalg.svd(blocks, compute_uv=False)[..., 0].max()
+                angle = min(angle, np.arccos(min(smax, 1.0)))
+    return _scaled(angle, scale)
 
 
 def triangle_report(

@@ -184,13 +184,13 @@ class TestExactSpectra:
         x = position_op(g)
         vals, vecs = np.linalg.eigh(x.matrix)
         assert np.array_equal(x.eigenvalues, vals)
-        assert np.array_equal(eigenset(x).basis, vecs)
+        assert np.array_equal(x.spectrum.eigenvectors, vecs)
 
     def test_momentum_is_an_orthonormal_eigenbasis(self, g):
         # eigvalsh's backward error is relative to |p|_2, the largest |hbar k|;
         # the residual, which carries the rounding of p's entries, to p's scale
         p = momentum_op(g)
-        vals, vecs = p.eigenvalues, eigenset(p).basis
+        vals, vecs = p.eigenvalues, p.spectrum.eigenvectors
         norm = float(np.abs(vals).max())
         assert np.all(np.diff(vals) > 0)
         assert np.abs(vals - np.linalg.eigvalsh(p.matrix)).max() <= g.n * EPS * norm

@@ -202,7 +202,16 @@ class TestDistances:
     def test_shared_eigenvector_zero_distance(self, pauli_file, capsys):
         rc = main(["distances", "--input", pauli_file, "--pair", "sz", "sz"])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out)["d_a_b"] == pytest.approx(0.0, abs=1e-7)
+        assert json.loads(capsys.readouterr().out)["d_a_b"] <= 4 * 2 * np.finfo(float).eps
+
+    def test_rays_inside_a_degenerate_eigenspace_print_zero(self, tmp_path, capsys):
+        # sigma_x's eigenvectors lie in the zero matrix's one eigenspace
+        observables = {"z": as_matrix(np.zeros((2, 2))), "b": as_matrix([[0, 1], [1, 0]])}
+        problem = {"dim": 2, "state": as_pairs([1, 0]), "observables": observables}
+        path = tmp_path / "zb.json"
+        path.write_text(json.dumps(problem))
+        assert main(["distances", "--input", str(path), "--pair", "z", "b"]) == 0
+        assert '"d_a_b": 0,' in capsys.readouterr().out
 
 
 class TestMinimize:
@@ -388,6 +397,24 @@ def test_metric_scale_overflow_exits_2(tmp_path, capsys, problem, pair, scale, c
         assert err == "" and all(np.isfinite(list(json.loads(out).values())))
     else:
         assert out == "" and err.startswith("error: ") and "overflows" in err
+
+
+ALLOCATION = "Unable to allocate 256. GiB for an array"
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(ALLOCATION), ALLOCATION),
+    (MemoryError(), "MemoryError"),
+])
+def test_out_of_memory_exits_2(grid_file, monkeypatch, capsys, error, message):
+    # a grid whose n x n matrix does not fit in memory: one error line, no traceback
+    def no_memory(grid):
+        raise error
+
+    monkeypatch.setattr(cli, "position_op", no_memory)
+    assert main(["report", "--input", grid_file, "--pair", "x", "p"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_distances_on_an_si_unit_grid_are_the_closed_forms(tmp_path, capsys):
