@@ -4,10 +4,12 @@ Minimizes f(phi) = Var_A(phi) * Var_B(phi) over the sphere of states.  At
 phi, with means a and b and variances alpha = Var_A and beta = Var_B, a step
 takes psi, the eigenvector of the smallest eigenvalue of
 
-    H(phi) = beta (A - a)^2 + alpha (B - b)^2.
+    H(phi) = beta (A - a)^2 + alpha (B - b)^2,
 
-Then beta Var_A(psi) + alpha Var_B(psi) <= <psi|H|psi> <= <phi|H|phi> =
-2 alpha beta, and by AM-GM Var_A(psi) Var_B(psi) <= alpha beta: the step
+by one step of inverse iteration from phi with a shift below the spectrum
+of H.  Such a step never raises the Rayleigh quotient, so beta Var_A(psi) +
+alpha Var_B(psi) <= <psi|H|psi> <= <phi|H|phi> = 2 alpha beta however far
+it converges, and by AM-GM Var_A(psi) Var_B(psi) <= alpha beta: the step
 never raises f.  This is a majorize-minimize step (Hunter & Lange, Am. Stat.
 58, 30, 2004).  A minimal-uncertainty state, (B - b - lambda (A - a)) phi = 0
 with lambda imaginary, is a ground state of its own H(phi).  At a fixed
@@ -125,12 +127,20 @@ def _check_dims(A: Observable, B: Observable, phi: State) -> None:
 
 
 def _eigenstep(A, B, squares, v, variances, means) -> np.ndarray:
-    """The lowest eigenvector psi of H(v), phase-aligned to v.
+    """The lowest eigenvector psi of H(v) by one inverse-iteration solve, phase-aligned to v.
 
     H(v) = beta A^2 - 2 beta a A + alpha B^2 - 2 alpha b B + (beta a^2 +
-    alpha b^2) I, with squares = (A^2, B^2); np.linalg.eigh reads one
-    triangle of H.  psi is turned so that <psi|v> is real and positive, or
-    left as it is where <psi|v> = 0.
+    alpha b^2) I, with squares = (A^2, B^2).  np.linalg.eigvalsh gives its
+    lowest eigenvalue lambda_0 and its largest magnitude lambda_max, and psi
+    solves (H - sigma I) psi = v with sigma = lambda_0 - 2 n eps lambda_max,
+    just below the spectrum; the solve is on H / lambda_max, so psi's size
+    does not depend on the entries' scale.  Inverse iteration with sigma
+    below the spectrum only shifts weight to lower eigenvalues, so
+    <psi|H|psi> <= <v|H|v> however far it converges, and the other
+    eigenvectors keep a share of about 2 n eps lambda_max / gap times the
+    tangent of v's angle to the ground state.  Where H = 0 every state is a
+    ground state, and v is returned.  psi is turned so that <psi|v> is real
+    and positive, or left as it is where <psi|v> = 0.
     """
     (alpha, beta), (a, b) = variances, means
     n = v.size
@@ -139,7 +149,14 @@ def _eigenstep(A, B, squares, v, variances, means) -> np.ndarray:
         H += weight * M2
         H -= (2.0 * weight * mean) * M
     H.reshape(n * n)[:: n + 1] += beta * a * a + alpha * b * b
-    psi = np.linalg.eigh(H)[1][:, 0]
+    values = np.linalg.eigvalsh(H)
+    lowest, top = values[0], max(-values[0], values[-1])
+    if top == 0.0:
+        return v
+    H /= top
+    H.reshape(n * n)[:: n + 1] -= lowest / top - 2 * n * np.finfo(float).eps
+    psi = np.linalg.solve(H, v)
+    psi /= np.linalg.norm(psi)
     overlap = np.vdot(psi, v)
     # np.abs, not abs(): the builtin rounds a NumPy complex scalar differently
     modulus = np.abs(overlap)

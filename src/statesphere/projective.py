@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .hilbert import EigenSet, Observable, State, spectral
+from .hilbert import DiagonalForm, EigenSet, Observable, State, spectral
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,22 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
     """Distance between the eigenstate sets of A and B.
 
     The minimum over eigenspace pairs of their smallest principal angle;
-    zero exactly when A and B share an eigenvector.  A pair with a ray takes
-    _nearest_angle.  A pair (P, Q) of wider eigenspaces takes arccos of the
-    largest singular value of the block P^H Q of the overlap matrix (Bjorck &
-    Golub, Math. Comp. 27, 1973), with the blocks stacked by shape, so Python
-    iterates over the distinct (width, width) shapes, not eigenspace pairs.
+    zero exactly when A and B share an eigenvector.  Where one eigenbasis is
+    the unit vectors and the other the plane waves, as for grid x and p,
+    every overlap has modulus 1/sqrt(n), so with rays on both sides the
+    distance is arccos(1/sqrt(n)) = atan(sqrt(n - 1)), and no basis is
+    built.  Otherwise a pair with a ray takes _nearest_angle, and pairs of
+    wider eigenspaces take _smallest_angle, with the blocks of the overlap
+    matrix stacked by shape, so Python iterates over the distinct
+    (width, width) shapes, not eigenspace pairs.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     a, b = eigenset(A), eigenset(B)
+    forms = (a.spectrum, b.spectrum)
+    if (all(isinstance(s, DiagonalForm) for s in forms) and forms[0].fourier != forms[1].fourier
+            and a.widths.max() == b.widths.max() == 1):
+        return _scaled(math.atan(math.sqrt(A.dim - 1)), scale)
     overlap = b.spectrum.coefficients(a.spectrum.eigenvectors)
     if a.widths.max() == 1:  # every eigenspace of A is a ray
         return _scaled(_nearest_angle(overlap, b.starts), scale)
@@ -106,10 +113,30 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
     for wb, r in b.groups:
         for wa, c in a.groups:
             if wa > 1 and wb > 1:
-                blocks = overlap[r[:, None, :, None], c[None, :, None, :]]
-                smax = np.linalg.svd(blocks, compute_uv=False)[..., 0].max()
-                angle = min(angle, np.arccos(min(smax, 1.0)))
+                angle = min(angle, _smallest_angle(overlap, r, c))
     return _scaled(angle, scale)
+
+
+def _smallest_angle(overlap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Smallest principal angle over the eigenspace pairs (Q_k, P_l) of one shape.
+
+    Row k of `rows` indexes Q_k's rows of the overlap matrix, row l of
+    `cols` P_l's columns.  The cosines are the singular values of the block
+    Q_k^H P_l (Bjorck & Golub, Math. Comp. 27, 1973); the sines are those of
+    the other rows of the same columns, the part of P_l outside Q_k.  Below
+    pi/4, where the largest cosine exceeds 1/sqrt(2), the angle is
+    atan2(smallest sine, largest cosine), which keeps its digits near 0,
+    where arccos of a cosine next to 1 loses half of them.
+    """
+    cos = np.linalg.svd(overlap[rows[:, None, :, None], cols[None, :, None, :]], compute_uv=False)[..., 0]
+    angles = np.arccos(np.minimum(cos, 1.0))
+    k, l = np.nonzero(cos * cos > 0.5)
+    if k.size:
+        outside = overlap[:, cols[l]].transpose(1, 0, 2)
+        outside[np.arange(k.size)[:, None], rows[k]] = 0.0
+        sin = np.linalg.svd(outside, compute_uv=False)[..., -1]
+        angles[k, l] = np.arctan2(sin, cos[k, l])
+    return angles.min()
 
 
 def triangle_report(

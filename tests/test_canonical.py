@@ -247,6 +247,23 @@ def test_state_to_eigenset_distance_allocates_order_n(n, build):
     assert "eigenvectors" not in vars(op.spectrum)
 
 
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_set_to_set_distance_allocates_order_n(n):
+    # x's unit vectors and p's plane waves are mutually unbiased, so the
+    # distance follows from n: neither eigenbasis nor any overlap is built
+    g = Grid(n, 40.0)
+    x, p = closed_form_only(_position(g)), closed_form_only(_momentum(g))
+    tracemalloc.start()
+    try:
+        d = eigenset_distance(x, p), eigenset_distance(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(np.subtract(d, np.arccos(1 / np.sqrt(n)))).max() <= 4 * EPS
+    assert peak <= DISTANCE_BYTES_PER_POINT * n
+    assert all("eigenvectors" not in vars(op.spectrum) for op in (x, p))
+
+
 def test_si_unit_grid_distances_are_the_closed_forms():
     # every p eigenvalue is below 1e-23 in magnitude; the eigenspaces must
     # still be one per eigenvalue, whatever the units

@@ -433,18 +433,110 @@ def test_eigenstep_never_raises_the_product(data, n, log_size):
 
 
 def test_each_eigensolve_is_one_matrix(monkeypatch):
-    # Each restart's step decomposes its own n x n H, never a stack of them.
+    # Each restart's step takes the eigenvalues of its own n x n H and makes
+    # one solve with it, never on a stack of them, and no step calls eigh.
     g = Grid(64, 40.0)
-    shapes, eigh = [], np.linalg.eigh
+    shapes = {"eigvalsh": [], "solve": [], "eigh": []}
+    for name, calls in shapes.items():
+        fn = getattr(np.linalg, name)
 
-    def recorded(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return eigh(m, *args, **kwargs)
+        def recorded(m, *args, fn=fn, calls=calls, **kwargs):
+            calls.append(np.shape(m))
+            return fn(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+        monkeypatch.setattr(np.linalg, name, recorded)
     minimize_multistart(position_op(g), momentum_op(g), restarts=8, seed=0)
-    assert all(shape == (g.n, g.n) for shape in shapes)
-    assert len(shapes) >= 8
+    for name in ("eigvalsh", "solve"):
+        assert all(shape == (g.n, g.n) for shape in shapes[name])
+        assert len(shapes[name]) >= 8
+    assert shapes["eigh"] == []
+
+
+def step_cases(n: int):
+    """(A, B) pairs at dimension n: random dense pairs, and grid x,p for n >= 16."""
+    rng = np.random.default_rng(n)
+    pairs = [(random_hermitian(rng, n), random_hermitian(rng, n)) for _ in range(4)]
+    if n >= 16:
+        g = Grid(n, 40.0)
+        pairs.append((position_op(g), momentum_op(g)))
+    return rng, pairs
+
+
+def step_at(a, b, v):
+    """_eigenstep from v, with H(v) and its eigh built from the centred matrices."""
+    variances, _, means = optimize._variances(a, b, v)
+    squares = (a.matrix @ a.matrix, b.matrix @ b.matrix)
+    psi = optimize._eigenstep(a, b, squares, v, variances, means)
+    centred = [op.matrix - mean * np.eye(v.size) for op, mean in zip((a, b), means)]
+    H = variances[1] * (centred[0] @ centred[0]) + variances[0] * (centred[1] @ centred[1])
+    return psi, np.linalg.eigh(H)
+
+
+def assert_lowest_eigenvector(psi, v, eigh):
+    """psi is eigh's lowest eigenvector u_0, phase-aligned to v, to one inverse-iteration step.
+
+    With sigma = lambda_0 - 2 n eps lambda_max, one solve from v leaves the
+    other eigenvectors a share of at most 2 n eps lambda_max / gap times
+    tan theta, theta the angle from v to u_0; the rounding of both solvers
+    adds about n eps lambda_max / gap.  Measured: at most 1.3 units of
+    n eps lambda_max / gap (1 + tan theta).
+    """
+    values, vectors = eigh
+    u0, n = vectors[:, 0], v.size
+    top, gap = np.abs(values).max(), values[1] - values[0]
+    tan = np.linalg.norm(v - u0 * np.vdot(u0, v)) / abs(np.vdot(u0, v))
+    assert abs(np.linalg.norm(psi) - 1.0) <= n * EPS
+    assert np.linalg.norm(psi - u0 * np.vdot(u0, psi)) <= 4 * n * EPS * top / gap * (1 + tan)
+    overlap = np.vdot(psi, v)
+    assert overlap.real > 0 and abs(overlap.imag) <= n * EPS
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 256])
+def test_eigenstep_is_the_lowest_eigenvector(n):
+    rng, pairs = step_cases(n)
+    for a, b in pairs:
+        v = random_state(rng, n).amplitudes
+        psi, eigh = step_at(a, b, v)
+        assert_lowest_eigenvector(psi, v, eigh)
+
+
+def test_eigenstep_returns_the_state_where_h_vanishes():
+    # A = 0: Var_A = 0 and A - <A> = 0, so H = 0 and every state is a ground state
+    rng = np.random.default_rng(14)
+    zero, b = Observable(np.zeros((5, 5))), random_hermitian(rng, 5)
+    v = random_state(rng, 5).amplitudes
+    psi, _ = step_at(zero, b, v)
+    assert np.array_equal(psi, v)
+
+
+def test_eigenstep_where_h_minus_its_lowest_eigenvalue_is_singular(sx, sy):
+    # At |0>, H = sx^2 + sy^2 = 2 I; at sy's eigenstate (1, i)/sqrt(2), H =
+    # (sy - 1)^2, with lowest eigenvalue 0.  Both lowest eigenvalues are
+    # exact, so H - lambda_0 I is exactly singular.
+    for v in ([1, 0], [1, 1j]):
+        v = normalize(v).amplitudes
+        psi, _ = step_at(sx, sy, v)
+        assert np.linalg.norm(psi - v) <= 4 * EPS
+
+
+@pytest.mark.parametrize("sizes", [(1e-100, 1e30), (1e30, 1e-100), (1e30, 1e30), (1e-75, 1e-75)])
+def test_eigenstep_is_scale_free(sizes):
+    # Scaling A by s and B by t scales H by s^2 t^2 and keeps its eigenvectors.
+    # At 1e-75 the solve without H / lambda_max would overflow.
+    rng, pairs = step_cases(8)
+    for a, b in pairs:
+        v = random_state(rng, 8).amplitudes
+        scaled = (Observable(a.matrix * sizes[0]), Observable(b.matrix * sizes[1]))
+        assert_lowest_eigenvector(step_at(*scaled, v)[0], v, step_at(a, b, v)[1])
+
+
+def test_eigenstep_where_h_underflows_to_zero():
+    # At entries of 1e-100 on both sides H's entries are of order 1e-400,
+    # which rounds to 0: the step returns the state, as for H = 0.
+    rng, pairs = step_cases(8)
+    a, b = (Observable(op.matrix * 1e-100) for op in pairs[0])
+    v = random_state(rng, 8).amplitudes
+    assert np.array_equal(step_at(a, b, v)[0], v)
 
 
 def test_certified_grid_minimizer_is_a_fixed_point():

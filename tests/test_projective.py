@@ -226,6 +226,17 @@ class TestEigensetDistance:
         b = Observable((u * [5.0, 6.0, 6.0]) @ u.conj().T)
         assert max(eigenset_distance(a, b), eigenset_distance(b, a)) <= 4 * 3 * EPS
 
+    def test_shared_degenerate_planes_stay_at_rounding_level(self):
+        # A and B share both eigenplanes exactly.  arccos of the largest
+        # cosine printed up to 2.6e-8 here; the sine of the part of one
+        # plane outside the other keeps it within a few n eps.
+        n = 4
+        for seed in range(200):
+            u = random_unitary(np.random.default_rng(seed), n)
+            a = Observable((u * [1.0, 1.0, 2.0, 2.0]) @ u.conj().T)
+            b = Observable((u * [3.0, 3.0, 4.0, 4.0]) @ u.conj().T)
+            assert max(eigenset_distance(a, b), eigenset_distance(b, a)) <= 4 * n * EPS
+
     def test_unitary_invariance(self, sx, sy):
         rng = np.random.default_rng(6)
         u = random_unitary(rng, 2)
