@@ -12,10 +12,10 @@ Both operators carry their closed-form eigendecomposition, a DiagonalForm,
 which is also their spectrum: x is the grid points with the unit vectors,
 p is hbar k with the plane waves of the DFT.  Their matvecs, flows, scales
 and distances from a state to their eigenstate sets cost O(n log n), and
-none calls np.linalg.eigh.  Each still builds its n x n matrix eagerly (p's
-as the exactly Hermitian circulant of one inverse FFT, filled in O(n^2)),
-which only the optimizer reads.  Observables read from a problem file take
-the dense routes.
+none calls np.linalg.eigh.  Each also carries its n x n matrix, which only
+the optimizer reads: x's is filled eagerly, p's is the exactly Hermitian
+circulant of one inverse FFT, a read-only view of 2n entries built in O(n).
+Observables read from a problem file take the dense routes.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ def position_op(g: Grid) -> Observable:
 
 
 def momentum_op(g: Grid) -> Observable:
-    """Spectral momentum F^dagger diag(hbar k) F, with its circulant matrix built in O(n^2).
+    """Spectral momentum F^dagger diag(hbar k) F, with its circulant matrix built in O(n).
 
     p_ab = c[(a - b) mod n], where c = ifft(hbar k) is one inverse FFT,
-    symmetrised so that p is exactly Hermitian: no n x n exp, no matrix
-    product.
+    symmetrised so that p is exactly Hermitian.  The matrix is a read-only
+    strided view of c's entries, so no n x n array is filled.
     """
     form = _momentum(g)
     return Observable(form.matrix(), form)

@@ -79,8 +79,8 @@ def _central_speeds(A: Observable, states: np.ndarray, dt: float) -> np.ndarray:
 
 def projected_speed(A: Observable, phi: State, dt: float) -> float:
     """Finite-difference Fubini-Study speed of the projected trajectory at phi."""
-    if dt <= 0:
-        raise InvalidParameter(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # false for NaN
+        raise InvalidParameter(f"dt must be positive and finite, got {dt}")
     return float(_central_speeds(A, phi.amplitudes[:, None], dt)[0])
 
 

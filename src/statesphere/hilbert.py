@@ -119,16 +119,19 @@ class DiagonalForm(Spectrum):
         return float(np.abs(self._column).max(initial=1.0))
 
     def matrix(self) -> np.ndarray:
-        """The n x n matrix, in O(n^2).
+        """The n x n matrix: np.diag of the values, or for the DFT a read-only circulant view.
 
         Row a of the circulant is the window r[n - a : 2n - a] of its first
-        row r, doubled, so the fill is one copy of a strided view.
+        row r, doubled, so the matrix is a strided view of 2n entries, built
+        in O(n) with no n x n fill.  numpy's matmul cannot hand that view to
+        BLAS, so a caller that multiplies by it often takes
+        np.ascontiguousarray of it first.
         """
         n = self.values.size
         if not self.fourier:
             return np.diag(self.values.astype(complex))
         row = self._column[-np.arange(n)]  # p_0b = c_-b
-        return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1].copy()
+        return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]
 
     @cached_property
     def _ascending(self) -> np.ndarray:
@@ -176,7 +179,8 @@ class Observable:
     Hermiticity check: what is derived from the matrix is not checked again.
 
     `eigen`, where given (grid x and p), is the operator's closed-form
-    eigendecomposition, and `matrix` the matrix it builds.  Such an
+    eigendecomposition, and `matrix` the matrix it builds (for p a
+    read-only view).  Such an
     observable is Hermitian by construction and is not scanned; its matvec,
     flows and scale come from `eigen` in O(n log n), and `eigen` is its
     spectrum, so np.linalg.eigh is never called.  The scale and the spectrum

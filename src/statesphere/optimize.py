@@ -68,10 +68,20 @@ class OptimizeResult:
         return out
 
 
-def _variances(A: Observable, B: Observable, v: np.ndarray):
-    """Variances of A and B on v read as a ray, with (A v, B v) and the means."""
+def _dense(A: Observable, B: Observable):
+    """A's and B's matrices as C-contiguous arrays, for BLAS.
+
+    A grid p's matrix is a strided view, which numpy's matmul multiplies by
+    a slower loop that also sums in another order; a dense observable's
+    matrix is returned as it is, with no copy.
+    """
+    return np.ascontiguousarray(A.matrix), np.ascontiguousarray(B.matrix)
+
+
+def _variances(a: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """Variances of the matrices a and b on v read as a ray, with (a v, b v) and the means."""
     n2 = np.vdot(v, v).real
-    products = (A.matrix @ v, B.matrix @ v)
+    products = (a @ v, b @ v)
     means = tuple(np.vdot(v, w).real / n2 for w in products)
     # max(x, 0.0) clamps rounding below zero and keeps a NaN or a -0.0
     variances = tuple(max(np.vdot(w, w).real / n2 - m * m, 0.0) for w, m in zip(products, means))
@@ -93,18 +103,18 @@ def _norm(v: np.ndarray) -> float:
     return peak * np.sqrt(np.vdot(scaled, scaled).real)
 
 
-def _gradient(A: Observable, B: Observable, v: np.ndarray, variances, products, means):
-    """riemannian_grad at v, from what _variances(A, B, v) returns."""
+def _gradient(a: np.ndarray, b: np.ndarray, v: np.ndarray, variances, products, means):
+    """riemannian_grad at v, from what _variances(a, b, v) returns."""
     (va, vb), (av, bv), (ma, mb) = variances, products, means
-    grad_a = 2.0 * (A.matrix @ av) - 4.0 * ma * av
-    grad_b = 2.0 * (B.matrix @ bv) - 4.0 * mb * bv
+    grad_a = 2.0 * (a @ av) - 4.0 * ma * av
+    grad_b = 2.0 * (b @ bv) - 4.0 * mb * bv
     xi = vb * grad_a + va * grad_b
     return xi - np.vdot(v, xi) * v
 
 
 def objective(A: Observable, B: Observable, v) -> float:
     """Product of variances of A and B on the normalized vector."""
-    (va, vb), *_ = _variances(A, B, np.asarray(v, dtype=complex).ravel())
+    (va, vb), *_ = _variances(*_dense(A, B), np.asarray(v, dtype=complex).ravel())
     return float(va * vb)
 
 
@@ -116,7 +126,8 @@ def riemannian_grad(A: Observable, B: Observable, phi: State) -> np.ndarray:
     phi (which removes both the radial and the phase-fibre directions).
     """
     _check_dims(A, B, phi)
-    return _gradient(A, B, phi.amplitudes, *_variances(A, B, phi.amplitudes))
+    a, b = _dense(A, B)
+    return _gradient(a, b, phi.amplitudes, *_variances(a, b, phi.amplitudes))
 
 
 def _check_dims(A: Observable, B: Observable, phi: State) -> None:
@@ -130,22 +141,22 @@ def _eigenstep(A, B, squares, v, variances, means) -> np.ndarray:
     """The lowest eigenvector psi of H(v) by one inverse-iteration solve, phase-aligned to v.
 
     H(v) = beta A^2 - 2 beta a A + alpha B^2 - 2 alpha b B + (beta a^2 +
-    alpha b^2) I, with squares = (A^2, B^2).  np.linalg.eigvalsh gives its
-    lowest eigenvalue lambda_0 and its largest magnitude lambda_max, and psi
-    solves (H - sigma I) psi = v with sigma = lambda_0 - 2 n eps lambda_max,
-    just below the spectrum; the solve is on H / lambda_max, so psi's size
-    does not depend on the entries' scale.  Inverse iteration with sigma
-    below the spectrum only shifts weight to lower eigenvalues, so
-    <psi|H|psi> <= <v|H|v> however far it converges, and the other
-    eigenvectors keep a share of about 2 n eps lambda_max / gap times the
-    tangent of v's angle to the ground state.  Where H = 0 every state is a
-    ground state, and v is returned.  psi is turned so that <psi|v> is real
-    and positive, or left as it is where <psi|v> = 0.
+    alpha b^2) I, with A and B as matrices and squares = (A^2, B^2).
+    np.linalg.eigvalsh gives its lowest eigenvalue lambda_0 and its largest
+    magnitude lambda_max, and psi solves (H - sigma I) psi = v with sigma =
+    lambda_0 - 2 n eps lambda_max, just below the spectrum; the solve is on
+    H / lambda_max, so psi's size does not depend on the entries' scale.
+    Inverse iteration with sigma below the spectrum only shifts weight to
+    lower eigenvalues, so <psi|H|psi> <= <v|H|v> however far it converges,
+    and the other eigenvectors keep a share of about 2 n eps lambda_max /
+    gap times the tangent of v's angle to the ground state.  Where H = 0
+    every state is a ground state, and v is returned.  psi is turned so
+    that <psi|v> is real and positive, or left as it is where <psi|v> = 0.
     """
     (alpha, beta), (a, b) = variances, means
     n = v.size
     H = np.zeros((n, n), dtype=complex)
-    for weight, mean, M, M2 in ((beta, a, A.matrix, squares[0]), (alpha, b, B.matrix, squares[1])):
+    for weight, mean, M, M2 in ((beta, a, A, squares[0]), (alpha, b, B, squares[1])):
         H += weight * M2
         H -= (2.0 * weight * mean) * M
     H.reshape(n * n)[:: n + 1] += beta * a * a + alpha * b * b
@@ -190,27 +201,29 @@ def _minimize(A, B, starts, max_iter, grad_tol) -> list:
     for phi in starts:
         _check_dims(A, B, phi)
     tol = grad_tol * max(A.scale, B.scale)
-    squares = (A.matrix @ A.matrix, B.matrix @ B.matrix)
-    return [_search(A, B, squares, phi, max_iter, tol) for phi in starts]
+    a, b = _dense(A, B)
+    squares = (a @ a, b @ b)
+    return [_search(A, B, (a, b), squares, phi, max_iter, tol) for phi in starts]
 
 
-def _search(A, B, squares, phi, max_iter, tol) -> OptimizeResult:
-    """minimize_product from phi, with squares = (A^2, B^2) and the absolute gradient tolerance."""
+def _search(A, B, matrices, squares, phi, max_iter, tol) -> OptimizeResult:
+    """minimize_product from phi, given _dense(A, B), their squares and the gradient tolerance."""
+    a, b = matrices
     v = phi.amplitudes
-    variances, products, means = _variances(A, B, v)
+    variances, products, means = _variances(a, b, v)
     f = variances[0] * variances[1]
     trace = [float(f)]
     stop, steps = "iterations", max_iter
     for it in range(max_iter):
-        if _norm(_gradient(A, B, v, variances, products, means)) <= tol:
+        if _norm(_gradient(a, b, v, variances, products, means)) <= tol:
             stop, steps = "gradient", it
             break
         base, t = v, 1.0
-        step = _eigenstep(A, B, squares, base, variances, means) - base
+        step = _eigenstep(a, b, squares, base, variances, means) - base
         for _ in range(MAX_DOUBLINGS + 1):
             w = base + t * step
             w = w / _norm(w)
-            var_w, prod_w, mean_w = _variances(A, B, w)
+            var_w, prod_w, mean_w = _variances(a, b, w)
             fw = var_w[0] * var_w[1]
             if not fw < f:
                 break

@@ -25,7 +25,7 @@ from statesphere import (
     trace_flow,
     triangle_report,
 )
-from statesphere.canonical import _momentum, _position, _wavenumbers
+from statesphere.canonical import _position, _wavenumbers
 
 from oracle import DIGITS, _grid_operators, entry_error
 
@@ -98,6 +98,11 @@ class TestMomentumOp:
         # exact, so Observable stores p as built, with no Hermitian-part copy
         p = momentum_op(grid)
         assert np.array_equal(p.matrix, p.matrix.conj().T)
+
+    def test_matrix_is_read_only(self, grid):
+        # a strided view of one doubled row, shared by every row; writing
+        # to one entry would change a whole diagonal
+        assert momentum_op(grid).matrix.flags.writeable is False
 
     def test_circulant(self, grid):
         p = momentum_op(grid).matrix
@@ -222,19 +227,21 @@ def closed_form_only(form) -> Observable:
     return Observable(np.broadcast_to(np.complex128(0), (form.values.size,) * 2), form)
 
 
-# Bytes per grid point that a distance from a state to x's or p's eigenset
-# may allocate: the eigenvalues sorted and clustered, and one FFT of the
-# state, each a few arrays of n floats.
+# Bytes per grid point that a distance from a state to x's or p's eigenset,
+# or the build of p, may allocate: the eigenvalues sorted and clustered, and
+# one FFT of the state or of the values, each a few arrays of n floats.
 DISTANCE_BYTES_PER_POINT = 128
 
 
 @pytest.mark.parametrize("n", [2**12, 2**14])
-@pytest.mark.parametrize("build", [_position, _momentum], ids=["x", "p"])
+@pytest.mark.parametrize(
+    "build", [lambda g: closed_form_only(_position(g)), momentum_op], ids=["x", "p"]
+)
 def test_state_to_eigenset_distance_allocates_order_n(n, build):
     # the first call clusters the eigenvalues; neither it nor the distance
     # builds an n x n eigenbasis
     g = Grid(n, 40.0)
-    op = closed_form_only(build(g))
+    op = build(g)
     phi = gaussian(g, 1.0, 0.5, 2.0)
     tracemalloc.start()
     try:
@@ -252,7 +259,7 @@ def test_set_to_set_distance_allocates_order_n(n):
     # x's unit vectors and p's plane waves are mutually unbiased, so the
     # distance follows from n: neither eigenbasis nor any overlap is built
     g = Grid(n, 40.0)
-    x, p = closed_form_only(_position(g)), closed_form_only(_momentum(g))
+    x, p = closed_form_only(_position(g)), momentum_op(g)
     tracemalloc.start()
     try:
         d = eigenset_distance(x, p), eigenset_distance(p, x)
@@ -262,6 +269,20 @@ def test_set_to_set_distance_allocates_order_n(n):
     assert np.abs(np.subtract(d, np.arccos(1 / np.sqrt(n)))).max() <= 4 * EPS
     assert peak <= DISTANCE_BYTES_PER_POINT * n
     assert all("eigenvectors" not in vars(op.spectrum) for op in (x, p))
+
+
+@pytest.mark.parametrize("n", [2**12, 2**14])
+def test_momentum_op_allocates_order_n(n):
+    # p's matrix is a view of its first row, doubled: no n x n array is filled
+    g = Grid(n, 40.0)
+    tracemalloc.start()
+    try:
+        p = momentum_op(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.matrix.shape == (n, n)
+    assert peak <= DISTANCE_BYTES_PER_POINT * n
 
 
 def test_si_unit_grid_distances_are_the_closed_forms():

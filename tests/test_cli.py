@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from statesphere import Grid, cli, gaussian, relations_report
 from statesphere.cli import main
+from statesphere.uncertainty import UncertaintyReport
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -415,6 +417,30 @@ def test_out_of_memory_exits_2(grid_file, monkeypatch, capsys, error, message):
     assert main(["report", "--input", grid_file, "--pair", "x", "p"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_p_commands_run_where_an_n_by_n_matrix_would_not_fit(tmp_path, capsys):
+    # at n = 2**16 one n x n complex matrix is 64 GiB; p's matrix is a view
+    # of 2n entries, and evolve and report never read it
+    n = 2**16
+    g = Grid(n, 40.0)
+    problem = {"dim": n, "state": as_pairs(gaussian(g, 0.0, 0.0, 1.3).amplitudes),
+               "grid": {"n": n, "length": 40.0}}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(problem))
+    out = tmp_path / "trace.csv"
+    argv = ["evolve", "--input", str(path), "--generator", "p", "--t-max", "1", "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    header, *rows = out.read_bytes().decode().split("\r\n")[:-1]
+    parts = [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
+    assert header.split(",") == ["t", *parts, "fs_speed", "std_dev"]
+    assert len(rows) == 2 and all(len(row.split(",")) == 2 * n + 3 for row in rows)
+    assert main(["report", "--input", str(path), "--pair", "p", "p"]) == 0
+    fields = json.loads(capsys.readouterr().out)
+    assert list(fields) == [field.name for field in dataclasses.fields(UncertaintyReport)]
+    assert all(np.isfinite(list(fields.values())))
+    # a Gaussian of width sigma has dp = hbar / (2 sigma)
+    assert fields["delta_a"] == fields["delta_b"] == pytest.approx(1 / 2.6, abs=1e-6)
 
 
 def test_distances_on_an_si_unit_grid_are_the_closed_forms(tmp_path, capsys):

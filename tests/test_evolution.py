@@ -115,9 +115,14 @@ class TestProjectedSpeed:
         assert e1 / e2 == pytest.approx(4.0, abs=0.5)
         assert e2 / e3 == pytest.approx(4.0, abs=0.5)
 
-    def test_invalid_dt(self, sz):
-        with pytest.raises(InvalidParameter):
-            projected_speed(sz, validate_state([1, 0]), 0.0)
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, np.nan, np.inf, -np.inf])
+    def test_invalid_dt(self, sz, dt):
+        # dt outside (0, inf), on a dense observable and on grid p; a NaN or
+        # infinite dt would otherwise give a NaN speed
+        g = Grid(16, 40.0)
+        for a, phi in ((sz, validate_state([1, 0])), (momentum_op(g), gaussian(g, 0.0, 0.0, 1.5))):
+            with pytest.raises(InvalidParameter):
+                projected_speed(a, phi, dt)
 
     def test_default_dt_scale_aware(self, sz):
         assert default_dt(sz) == pytest.approx(5e-5)

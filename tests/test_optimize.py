@@ -76,8 +76,8 @@ def descents(monkeypatch):
     """The start and OptimizeResult of every search, in the order they run."""
     runs, search = [], optimize._search
 
-    def recorded(A, B, squares, phi, *args):
-        res = search(A, B, squares, phi, *args)
+    def recorded(A, B, matrices, squares, phi, *args):
+        res = search(A, B, matrices, squares, phi, *args)
         runs.append((phi, res))
         return res
 
@@ -424,10 +424,10 @@ def test_eigenstep_never_raises_the_product(data, n, log_size):
     v = data.draw(arrays(float, (n, 2), elements=unit)) @ [1, 1j]
     assume(np.linalg.norm(v) > 1e-3)
     v = normalize(v).amplitudes
-    variances, _, means = optimize._variances(a, b, v)
+    variances, _, means = optimize._variances(a.matrix, b.matrix, v)
     assume(max(variances) > 0.0)
     squares = (a.matrix @ a.matrix, b.matrix @ b.matrix)
-    psi = optimize._eigenstep(a, b, squares, v, variances, means)
+    psi = optimize._eigenstep(a.matrix, b.matrix, squares, v, variances, means)
     rise = exact_product(a, b, psi) - exact_product(a, b, v)
     assert rise <= rounding_allowance(n, max(a.scale, b.scale))
 
@@ -464,9 +464,10 @@ def step_cases(n: int):
 
 def step_at(a, b, v):
     """_eigenstep from v, with H(v) and its eigh built from the centred matrices."""
-    variances, _, means = optimize._variances(a, b, v)
-    squares = (a.matrix @ a.matrix, b.matrix @ b.matrix)
-    psi = optimize._eigenstep(a, b, squares, v, variances, means)
+    matrices = optimize._dense(a, b)
+    variances, _, means = optimize._variances(*matrices, v)
+    squares = tuple(m @ m for m in matrices)
+    psi = optimize._eigenstep(*matrices, squares, v, variances, means)
     centred = [op.matrix - mean * np.eye(v.size) for op, mean in zip((a, b), means)]
     H = variances[1] * (centred[0] @ centred[0]) + variances[0] * (centred[1] @ centred[1])
     return psi, np.linalg.eigh(H)
