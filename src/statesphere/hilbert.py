@@ -180,12 +180,11 @@ class Observable:
 
     `eigen`, where given (grid x and p), is the operator's closed-form
     eigendecomposition, and `matrix` the matrix it builds (for p a
-    read-only view).  Such an
-    observable is Hermitian by construction and is not scanned; its matvec,
-    flows and scale come from `eigen` in O(n log n), and `eigen` is its
-    spectrum, so np.linalg.eigh is never called.  The scale and the spectrum
-    are computed once, on first use, and cached; the matrix must not be
-    mutated in place.
+    read-only view).  Such an observable is Hermitian by construction and
+    is not scanned; its matvec, flows and scale come from `eigen` in
+    O(n log n), and `eigen` is its spectrum, so np.linalg.eigh is never
+    called.  The scale and the spectrum are computed once, on first use,
+    and cached; the matrix must not be mutated in place.
     """
 
     matrix: np.ndarray
