@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -26,8 +27,13 @@ from .projective import triangle_report
 from .uncertainty import relations_report
 
 
-def _complex_array(value, depth: int, what: str) -> np.ndarray:
-    """[re, im] number pairs nested `depth` lists deep, as a complex array."""
+def _complex_array(value, depth: int, what: str, booleans: bool) -> np.ndarray:
+    """[re, im] number pairs nested `depth` lists deep, as a complex array.
+
+    np.array reads a true or false among numbers as 1 or 0, so where
+    `booleans`, as when the file text holds a true or false literal, the
+    entries are scanned for them.
+    """
     expected = f"{what}: expected {'rows of ' * (depth - 1)}[re, im] number pairs"
     try:
         arr = np.array(value)
@@ -37,6 +43,12 @@ def _complex_array(value, depth: int, what: str) -> np.ndarray:
         return arr.astype(complex)  # no entries: the dimension checks reject it
     if arr.dtype.kind not in "iuf" or arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise MalformedInput(expected)
+    if booleans:
+        entries = value
+        for _ in range(depth):
+            entries = itertools.chain.from_iterable(entries)
+        if any(isinstance(entry, bool) for entry in entries):
+            raise MalformedInput(f"{expected}, got true or false")
     return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
@@ -85,18 +97,21 @@ def load_problem(path: str, tol: float = 1e-10, names=None) -> tuple[State, dict
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            text = fh.read()
+            doc = json.loads(text)
         except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, an overlong integer, too deep
             raise MalformedInput(str(exc)) from exc
+    booleans = "true" in text or "false" in text
+    del text  # the parsed document holds all that is read from here on
     raw = _object(doc, "problem file")
     dim = _number(_required(raw, "dim", "dim"), "dim", integer=True)
-    state = _complex_array(_required(raw, "state", "state"), 1, "state")
+    state = _complex_array(_required(raw, "state", "state"), 1, "state", booleans)
     state = validate_state(state, tol=max(tol, 1e-10))
     if state.dim != dim:
         raise DimensionMismatch(f"state has dim {state.dim}, file says {dim}")
     defined, builders = {}, {}
     for name, rows in _object(raw.get("observables", {}), "observables").items():
-        obs = Observable(_complex_array(rows, 2, f"observable {name!r}"))
+        obs = Observable(_complex_array(rows, 2, f"observable {name!r}", booleans))
         if obs.dim != dim:
             raise DimensionMismatch(f"observable {name!r} has dim {obs.dim}, file says {dim}")
         defined[name] = obs

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .hilbert import Observable, State
-from .serialize import _csv_rows
+from .serialize import _BLOCK_VALUES, _csv_rows
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,18 @@ class FlowTrace:
         """Columns: t, interleaved re/im of each amplitude, fs_speed, std_dev.
 
         One CRLF-ended row per sample, every float as serialize.FLOAT_FORMAT
-        renders it.  Each row is built as serialize._csv_rows reaches it, so
-        no table of the whole trace is formed.
+        renders it.  The rows go to serialize._csv_rows in blocks of about
+        _BLOCK_VALUES values (one row where a row is wider), each built by
+        one column_stack as _csv_rows reaches it, so no table of the whole
+        trace is formed.
         """
         n = self.amplitudes.shape[1]
         amplitude_columns = [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
         fileobj.write(",".join(["t", *amplitude_columns, "fs_speed", "std_dev"]) + "\r\n")
-        rows = (
-            np.concatenate(([t], u.view(float), [speed, dev]))
-            for t, u, speed, dev in zip(self.times, self.amplitudes, self.fs_speeds, self.std_devs)
-        )
-        _csv_rows(fileobj, rows)
+        k = max(1, _BLOCK_VALUES // (2 * n + 3))
+        columns = (self.times, self.amplitudes.view(float), self.fs_speeds, self.std_devs)
+        blocks = (np.column_stack([c[i : i + k] for c in columns]) for i in range(0, self.times.size, k))
+        _csv_rows(fileobj, blocks)
 
 
 def flow(A: Observable, phi: State, t: float) -> State:

@@ -89,22 +89,26 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
     """Distance between the eigenstate sets of A and B.
 
     The minimum over eigenspace pairs of their smallest principal angle;
-    zero exactly when A and B share an eigenvector.  Where one eigenbasis is
-    the unit vectors and the other the plane waves, as for grid x and p,
-    every overlap has modulus 1/sqrt(n), so with rays on both sides the
-    distance is arccos(1/sqrt(n)) = atan(sqrt(n - 1)), and no basis is
-    built.  Otherwise a pair with a ray takes _nearest_angle, and pairs of
-    wider eigenspaces take _smallest_angle, with the blocks of the overlap
-    matrix stacked by shape, so Python iterates over the distinct
-    (width, width) shapes, not eigenspace pairs.
+    zero exactly when A and B share an eigenvector.  Two closed forms take
+    no basis: in the same basis (grid x with x, or p with p) they share
+    every basis vector, so the distance is 0; where one eigenbasis is the
+    unit vectors and the other the plane waves, as for grid x and p, every
+    overlap has modulus 1/sqrt(n), so with rays on both sides the distance
+    is arccos(1/sqrt(n)) = atan(sqrt(n - 1)).  Otherwise a pair with a ray
+    takes _nearest_angle, and pairs of wider eigenspaces take
+    _smallest_angle, with the blocks of the overlap matrix stacked by shape,
+    so Python iterates over the distinct (width, width) shapes, not
+    eigenspace pairs.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     a, b = eigenset(A), eigenset(B)
     forms = (a.spectrum, b.spectrum)
-    if (all(isinstance(s, DiagonalForm) for s in forms) and forms[0].fourier != forms[1].fourier
-            and a.widths.max() == b.widths.max() == 1):
-        return _scaled(math.atan(math.sqrt(A.dim - 1)), scale)
+    if all(isinstance(s, DiagonalForm) for s in forms):
+        if forms[0].fourier == forms[1].fourier:
+            return _scaled(0.0, scale)
+        if a.widths.max() == b.widths.max() == 1:
+            return _scaled(math.atan(math.sqrt(A.dim - 1)), scale)
     overlap = b.spectrum.coefficients(a.spectrum.eigenvectors)
     if a.widths.max() == 1:  # every eigenspace of A is a ray
         return _scaled(_nearest_angle(overlap, b.starts), scale)

@@ -21,7 +21,8 @@ FLOAT_FORMAT = "{:.17g}"
 format_float = FLOAT_FORMAT.format
 
 
-def _render(obj) -> str:
+def dumps(obj) -> str:
+    """Single-line deterministic JSON with fixed float formatting."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -30,24 +31,17 @@ def _render(obj) -> str:
         return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
+        items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(dumps, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def dumps(obj) -> str:
-    """Single-line deterministic JSON with fixed float formatting."""
-    return _render(obj)
 
 
 def csv_row(values) -> str:
     """Comma-separated row, each value rendered as in dumps."""
-    return ",".join(map(_render, values))
+    return ",".join(map(dumps, values))
 
 
 # Values per block of _csv_rows: its working arrays stay a few hundred kB
@@ -232,30 +226,21 @@ def _render_block(x: np.ndarray, row_end: np.ndarray) -> str:
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_rows(fileobj, rows) -> None:
-    """Write each float row of `rows` as comma-separated values ending in CRLF.
+def _csv_rows(fileobj, blocks) -> None:
+    """Write the float rows of each block as comma-separated values ending in CRLF.
 
-    Each value's text is FLOAT_FORMAT.format(value), byte for byte.  Rows
-    are taken as they come (a 2-D array, or row arrays built on demand) and
-    written in blocks of about _BLOCK_VALUES values, each before the next is
-    built, so the working memory does not grow with the number of rows.
+    Each value's text is FLOAT_FORMAT.format(value), byte for byte.  A block
+    is a 2-D array of rows, or one row as a 1-D array; blocks are taken as
+    they come, so a caller can build each on demand.  A block is rendered
+    _BLOCK_VALUES values at a time, each chunk written before the next is
+    rendered, and a chunk may end inside a row, since every value carries
+    its own separator; so the working memory is that of one block and one
+    chunk, whatever the number of rows.
     """
-    pending, size = [], 0
-    for row in rows:
-        pending.append(np.asarray(row, dtype=np.float64))
-        size += pending[-1].size
-        if size >= _BLOCK_VALUES:
-            _write_block(fileobj, pending)
-            pending, size = [], 0
-    if pending:
-        _write_block(fileobj, pending)
-
-
-def _write_block(fileobj, rows: list) -> None:
-    """Write whole rows, in parts of fewer than 2 * _BLOCK_VALUES values."""
-    values = np.concatenate(rows)
-    row_end = np.zeros(values.size, dtype=bool)
-    row_end[np.cumsum([r.size for r in rows]) - 1] = True
-    parts = max(1, values.size // _BLOCK_VALUES)
-    for part, ends in zip(np.array_split(values, parts), np.array_split(row_end, parts)):
-        fileobj.write(_render_block(part, ends))
+    for block in blocks:
+        block = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        width, values = block.shape[1], block.ravel()
+        for start in range(0, values.size, _BLOCK_VALUES):
+            chunk = values[start : start + _BLOCK_VALUES]
+            row_end = np.arange(start, start + chunk.size) % width == width - 1
+            fileobj.write(_render_block(chunk, row_end))

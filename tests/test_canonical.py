@@ -257,16 +257,19 @@ def test_state_to_eigenset_distance_allocates_order_n(n, build):
 @pytest.mark.parametrize("n", [2**12, 2**14])
 def test_set_to_set_distance_allocates_order_n(n):
     # x's unit vectors and p's plane waves are mutually unbiased, so the
-    # distance follows from n: neither eigenbasis nor any overlap is built
+    # distance follows from n, and p with p or x with x share every basis
+    # vector, so theirs is 0: neither eigenbasis nor any overlap is built
     g = Grid(n, 40.0)
     x, p = closed_form_only(_position(g)), momentum_op(g)
     tracemalloc.start()
     try:
         d = eigenset_distance(x, p), eigenset_distance(p, x)
+        same = eigenset_distance(p, p), eigenset_distance(x, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.abs(np.subtract(d, np.arccos(1 / np.sqrt(n)))).max() <= 4 * EPS
+    assert same == (0.0, 0.0)
     assert peak <= DISTANCE_BYTES_PER_POINT * n
     assert all("eigenvectors" not in vars(op.spectrum) for op in (x, p))
 

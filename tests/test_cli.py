@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -443,6 +445,51 @@ def test_p_commands_run_where_an_n_by_n_matrix_would_not_fit(tmp_path, capsys):
     assert fields["delta_a"] == fields["delta_b"] == pytest.approx(1 / 2.6, abs=1e-6)
 
 
+# Bytes per grid point that each command on grid p may allocate, as the
+# tracemalloc peak of a warm run: the parsed file's lists of floats, about
+# 130 bytes a point, and arrays of n complex numbers (for evolve's 16 steps,
+# n x 16).  Measured: 232 for report and distances, about 1370 for evolve, at
+# n = 2**10 to 2**16.  An n x n array of p alone is 16 n bytes a point.
+P_COMMANDS = {
+    "report": (["--pair", "p", "p"], 512),
+    "distances": (["--pair", "p", "p"], 512),
+    "evolve": (["--generator", "p", "--t-max", "1", "--steps", "16", "--out", os.devnull], 2048),
+}
+
+
+@pytest.mark.parametrize("command, n", [
+    *((command, n) for command in P_COMMANDS for n in (2**10, 2**12, 2**14)),
+    ("distances", 2**16),
+])
+def test_p_commands_allocate_order_n(tmp_path, monkeypatch, capsys, command, n):
+    # allocation counts, not timings: an n x n array of p would break the
+    # bound at every n, and an eigh of it the call count
+    g = Grid(n, 40.0)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"dim": n, "state": as_pairs(gaussian(g, 1.0, -0.5, 1.3).amplitudes),
+                                "grid": {"n": n, "length": 40.0}}))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solver=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    options, bytes_per_point = P_COMMANDS[command]
+    argv = [command, "--input", str(path), *options]
+    assert main(argv) == 0  # builds what the process caches: the parser, the CSV tables
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and calls == []
+    assert peak <= bytes_per_point * n
+    if command == "distances":
+        assert json.loads(capsys.readouterr().out)["d_a_b"] == 0
+
+
 def test_distances_on_an_si_unit_grid_are_the_closed_forms(tmp_path, capsys):
     # hbar k is below 1e-23 for every eigenvalue of p: each is still its own eigenspace
     g = Grid(64, 1e-9, hbar=1.054571817e-34)
@@ -490,6 +537,9 @@ EXIT_CODE_TABLE = [
     pytest.param(REPORT, sigma_x_problem(dim="2"), 1, id="dim-string"),
     pytest.param(REPORT, sigma_x_problem(dim=2.7), 1, id="dim-fraction"),
     pytest.param(REPORT, sigma_x_problem(dim=True), 1, id="dim-true"),
+    pytest.param(REPORT, sigma_x_problem(state=[[True, 0], [0, 0]]), 1, id="state-boolean-entry"),
+    pytest.param(REPORT, sigma_x_problem(observables={"a": [[[0, 0], [True, 0]], [[1, 0], [0, 0]]]}),
+                 1, id="observable-boolean-entry"),
     pytest.param(REPORT, sigma_x_problem(observables=[]), 1, id="observables-array"),
     pytest.param(REPORT, sigma_x_problem(observables={"a": as_matrix([[np.nan, 1], [1, 0]])}),
                  2, id="nan-observable"),
