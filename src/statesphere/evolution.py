@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .hilbert import Observable, State
 from .serialize import _BLOCK_VALUES, _csv_rows
+from .uncertainty import std_dev
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,12 @@ def flow(A: Observable, phi: State, t: float) -> State:
 
 
 def default_dt(A: Observable) -> float:
-    """Central-difference step, inversely scaled by the spectral range."""
-    vals = A.eigenvalues
-    rng = float(vals.max() - vals.min())
-    return 1e-4 / max(rng, 1e-12)
+    """Central-difference step 1e-4 / spectral range, or 1e-4 for a multiple of I (a phase flow)."""
+    rng = float(np.ptp(A.eigenvalues))
+    dt = 1e-4 / rng if rng else 1e-4
+    if not 0 < dt < math.inf:  # false for NaN
+        raise InvalidParameter(f"spectral range {rng} gives no finite central-difference step")
+    return dt
 
 
 def _unit_columns(m: np.ndarray) -> np.ndarray:
@@ -94,19 +97,15 @@ def trace_flow(A: Observable, phi: State, t_max: float, steps: int) -> FlowTrace
     the state at t keeps the phase rounding of e^{-i lambda dt} near eps *
     lambda dt, where a flow from phi to t -+ dt would round the phase of
     e^{-i lambda (t -+ dt)} by eps, a difference the central difference
-    divides by dt.  The standard deviations take one batched matvec.
-    Nothing n x n runs once per time.
+    divides by dt.  The std_dev column is std_dev(A, phi), taken once: A's
+    own flow conserves it.  Nothing n x n runs once per time.
     """
     if steps < 2:
         raise InvalidParameter(f"need steps >= 2, got {steps}")
     if not math.isfinite(t_max):
         raise InvalidParameter(f"t_max must be finite, got {t_max}")
     times = np.linspace(0.0, t_max, steps)
-    dt = default_dt(A)
     now = _unit_columns(A.flows(phi.amplitudes, times))
-    speeds = _central_speeds(A, now, dt)
-    # the norms of the centred fields A u - <A> u, as std_dev takes them
-    a_now = A.apply(now)
-    means = np.sum(now.conj() * a_now, axis=0).real
-    devs = np.linalg.norm(a_now - means * now, axis=0)
+    speeds = _central_speeds(A, now, default_dt(A))
+    devs = np.full(steps, std_dev(A, phi))
     return FlowTrace(times, np.ascontiguousarray(now.T), speeds, devs)

@@ -195,14 +195,14 @@ def minimize_product(
 
 
 def _minimize(A, B, starts, max_iter, grad_tol) -> list:
-    """One search from each start, one after another; results in start order."""
+    """One search from each start, in start order; A^2 and B^2 are formed once, by A's and B's matvecs."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     for phi in starts:
         _check_dims(A, B, phi)
     tol = grad_tol * max(A.scale, B.scale)
     a, b = _dense(A, B)
-    squares = (a @ a, b @ b)
+    squares = (A.apply(a), B.apply(b))
     return [_search(A, B, (a, b), squares, phi, max_iter, tol) for phi in starts]
 
 

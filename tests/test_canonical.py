@@ -140,6 +140,20 @@ class TestMomentumOp:
         assert np.abs(p.matrix @ v - fft_pair).max() <= g.n * EPS * p.scale
 
 
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("length", [1.0, 40.0])
+@pytest.mark.parametrize("hbar", [1.0, 1e-3])
+def test_square_through_the_matvec(n, length, hbar):
+    # the optimizer forms A^2 as A.apply(A's matrix): for x the same floats
+    # as the matrix product, for p an FFT pair per column within n eps
+    # scale^2 of it (the largest measured was 0.17 of that)
+    g = Grid(n, length, hbar)
+    x, p = position_op(g), momentum_op(g)
+    assert np.array_equal(x.apply(x.matrix), x.matrix @ x.matrix)
+    m = np.ascontiguousarray(p.matrix)
+    assert np.abs(p.apply(m) - m @ m).max() <= n * EPS * p.scale**2
+
+
 class TestGaussian:
     def test_position_width(self, grid):
         st = gaussian(grid, 0.0, 0.0, 1 / np.sqrt(2))

@@ -185,6 +185,36 @@ class TestEvolve:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("a, h", [(-27, -112), (20, 30), (-3, -3), (40, -60)])
+    def test_scale_covariant(self, tmp_path, capsys, a, h):
+        # L = 40 * 2^a and hbar = 2^h scale p by exactly 2^(h - a), and every
+        # eigenvalue times a time scaled by 2^(a - h) is the same float; so
+        # the amplitudes print the same bytes and t, fs_speed and std_dev
+        # scale exactly (Higham, Accuracy and Stability of Numerical
+        # Algorithms, 2nd ed., sec. 2: power-of-two scaling is exact).
+        g = Grid(64, 40.0)
+        v = gaussian(g, -6.0, 0.5, 1.2).amplitudes + 0.7j * gaussian(g, 5.0, -0.3, 1.4).amplitudes
+        state = as_pairs(v / np.linalg.norm(v))
+
+        def rows(length, hbar, t_max):
+            path = tmp_path / "two-packets.json"
+            path.write_text(json.dumps({"dim": 64, "state": state,
+                                        "grid": {"n": 64, "length": length, "hbar": hbar}}))
+            argv = ["evolve", "--input", str(path), "--generator", "p",
+                    "--t-max", repr(t_max), "--steps", "16"]
+            assert main(argv) == 0
+            return [row.split(",") for row in capsys.readouterr().out.split("\r\n")[1:-1]]
+
+        base = rows(40.0, 1.0, 2.0)
+        scaled = rows(40.0 * 2.0**a, 2.0**h, 2.0 * 2.0 ** (a - h))
+        assert len(scaled) == len(base) == 16
+        for row, ref in zip(scaled, base):
+            assert row[1:-2] == ref[1:-2]
+            assert float(row[0]) == np.ldexp(float(ref[0]), a - h)
+            for cell, ref_cell in zip(row[-2:], ref[-2:]):
+                assert float(cell) == np.ldexp(float(ref_cell), h - a)
+            assert float(ref[-2]) == pytest.approx(float(ref[-1]), rel=1e-9)
+
 
 class TestDistances:
     def test_pauli_distances(self, pauli_file, capsys):
@@ -550,6 +580,9 @@ EXIT_CODE_TABLE = [
     pytest.param([*DISTANCES, "--metric-scale", "inf"], sigma_x_problem(), 2, id="metric-scale-inf"),
     pytest.param([*REPORT, "--tol", "nan"], sigma_x_problem(state=as_pairs([3, 0])), 2, id="tol-nan"),
     pytest.param([*EVOLVE, "--t-max", "nan"], sigma_x_problem(), 2, id="t-max-nan"),
+    pytest.param([*EVOLVE, "--t-max", "1"],
+                 sigma_x_problem(observables={"a": as_matrix([[5e-324, 0], [0, 0]])}),
+                 2, id="evolve-no-finite-step"),
     pytest.param(REPORT, sigma_x_problem("dim"), 1, id="dim-missing"),
     pytest.param(REPORT, sigma_x_problem("state"), 1, id="state-missing"),
     pytest.param(REPORT, sigma_x_problem(grid={"length": 40.0}), 1, id="grid-n-missing"),
