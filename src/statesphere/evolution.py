@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .errors import InvalidParameter
 from .hilbert import Observable, State
-from .serialize import _BLOCK_VALUES, _csv_rows
 from .uncertainty import std_dev
 
 
@@ -34,18 +34,12 @@ class FlowTrace:
         """Columns: t, interleaved re/im of each amplitude, fs_speed, std_dev.
 
         One CRLF-ended row per sample, every float as serialize.FLOAT_FORMAT
-        renders it.  The rows go to serialize._csv_rows in blocks of about
-        _BLOCK_VALUES values (one row where a row is wider), each built by
-        one column_stack as _csv_rows reaches it, so no table of the whole
-        trace is formed.
+        renders it.  serialize stacks and renders the rows a block at a
+        time, so no table of the whole trace is formed.
         """
-        n = self.amplitudes.shape[1]
-        amplitude_columns = [f"{part}_{k}" for k in range(n) for part in ("re", "im")]
-        fileobj.write(",".join(["t", *amplitude_columns, "fs_speed", "std_dev"]) + "\r\n")
-        k = max(1, _BLOCK_VALUES // (2 * n + 3))
+        amplitudes = [f"{part}_{k}" for k in range(self.amplitudes.shape[1]) for part in ("re", "im")]
         columns = (self.times, self.amplitudes.view(float), self.fs_speeds, self.std_devs)
-        blocks = (np.column_stack([c[i : i + k] for c in columns]) for i in range(0, self.times.size, k))
-        _csv_rows(fileobj, blocks)
+        serialize._write_table(fileobj, ["t", *amplitudes, "fs_speed", "std_dev"], columns)
 
 
 def flow(A: Observable, phi: State, t: float) -> State:

@@ -35,6 +35,9 @@ from .uncertainty import MinimalConditionResult, minimal_condition
 
 # Over-relaxation doublings tried after the plain step, t = 2 ... 2**40.
 MAX_DOUBLINGS = 40
+# The gradient stop: the tangent gradient norm at most GRAD_TOL times the
+# larger matrix scale.
+GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -179,28 +182,27 @@ def minimize_product(
     B: Observable,
     phi0: State,
     max_iter: int = 500,
-    grad_tol: float = 1e-8,
 ) -> OptimizeResult:
     """Over-relaxed majorize-minimize eigen-steps from phi0 (see the module docstring).
 
     stop_reason says why the run ended, tested in this order before each
-    step: "gradient" when the tangent gradient norm is at most grad_tol
+    step: "gradient" when the tangent gradient norm is at most GRAD_TOL
     times the matrix scale; "floor" when the eigen-step does not strictly
     lower the objective, so phi is kept (this covers f at rounding level);
     "iterations" after max_iter eigen-steps.  converged is true when the run
     stopped on the gradient test or on the floor and minimal_condition
     certifies the final state.
     """
-    return _minimize(A, B, [phi0], max_iter, grad_tol)[0]
+    return _minimize(A, B, [phi0], max_iter)[0]
 
 
-def _minimize(A, B, starts, max_iter, grad_tol) -> list:
+def _minimize(A, B, starts, max_iter) -> list:
     """One search from each start, in start order; A^2 and B^2 are formed once, by A's and B's matvecs."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     for phi in starts:
         _check_dims(A, B, phi)
-    tol = grad_tol * max(A.scale, B.scale)
+    tol = GRAD_TOL * max(A.scale, B.scale)
     a, b = _dense(A, B)
     squares = (A.apply(a), B.apply(b))
     return [_search(A, B, (a, b), squares, phi, max_iter, tol) for phi in starts]
@@ -254,7 +256,6 @@ def minimize_multistart(
     restarts: int = 8,
     seed: int = 0,
     max_iter: int = 500,
-    grad_tol: float = 1e-8,
 ) -> OptimizeResult:
     """Best of several independent searches, run one after another.
 
@@ -274,7 +275,7 @@ def minimize_multistart(
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         starts.append(normalize(v))
     best = min(
-        _minimize(A, B, starts, max_iter, grad_tol),
+        _minimize(A, B, starts, max_iter),
         key=lambda res: (not res.certificate.is_minimal, res.value),
     )
     return replace(best, seed=seed)

@@ -3,7 +3,7 @@
 Floats are rendered at 17 significant digits (FLOAT_FORMAT) and dict
 insertion order is preserved, so identical inputs produce byte-identical
 output.  `dumps` and `csv_row` format value by value.  A table of floats,
-such as evolve's CSV, goes through `_csv_rows`, which finds the same 17
+such as evolve's CSV, goes through `_write_table`, which finds the same 17
 digits for a block of values at a time in numpy: each value's bytes are
 those of FLOAT_FORMAT, and a value whose rounding numpy could not decide
 with certainty is formatted by FLOAT_FORMAT itself.
@@ -44,7 +44,7 @@ def csv_row(values) -> str:
     return ",".join(map(dumps, values))
 
 
-# Values per block of _csv_rows: its working arrays stay a few hundred kB
+# Values per block of _write_table: its working arrays stay a few hundred kB
 # whatever the table's shape.
 _BLOCK_VALUES = 4096
 # _significands' scaled value errs by under 2**-46 units of the 17th digit;
@@ -52,7 +52,7 @@ _BLOCK_VALUES = 4096
 # FLOAT_FORMAT.
 _MARGIN = 2.0**-20
 
-# Each value of a _csv_rows block is laid out in 48 bytes, six uint64
+# Each value of a _write_table block is laid out in 48 bytes, six uint64
 # words, and the bytes its text does not use are zeroed and dropped:
 #   0 "-", 1-5 "0.000", digit j at 6 + 2j with a "." after it, 40-44 "e",
 #   the exponent's sign and three digits, 45 ",", 46-47 CRLF.
@@ -226,20 +226,21 @@ def _render_block(x: np.ndarray, row_end: np.ndarray) -> str:
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _csv_rows(fileobj, blocks) -> None:
-    """Write the float rows of each block as comma-separated values ending in CRLF.
+def _write_table(fileobj, header, columns) -> None:
+    """Write the header names, then the columns' rows, as CSV lines ending in CRLF.
 
-    Each value's text is FLOAT_FORMAT.format(value), byte for byte.  A block
-    is a 2-D array of rows, or one row as a 1-D array; blocks are taken as
-    they come, so a caller can build each on demand.  A block is rendered
-    _BLOCK_VALUES values at a time, each chunk written before the next is
-    rendered, and a chunk may end inside a row, since every value carries
-    its own separator; so the working memory is that of one block and one
-    chunk, whatever the number of rows.
+    Row i holds entry i of each float column (a value of a 1-D column, a row
+    of a 2-D one), each value as FLOAT_FORMAT writes it, byte for byte.
+    Blocks of _BLOCK_VALUES values (one row where a row is wider) are stacked
+    and rendered _BLOCK_VALUES values at a time, and a chunk may end inside a
+    row, since every value carries its own separator; so the working memory
+    is one block and one chunk, whatever the number of rows.
     """
-    for block in blocks:
-        block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-        width, values = block.shape[1], block.ravel()
+    fileobj.write(",".join(header) + "\r\n")
+    width = sum(1 if np.ndim(c) == 1 else np.shape(c)[1] for c in columns)
+    step = max(1, _BLOCK_VALUES // width)
+    for first in range(0, len(columns[0]), step):
+        values = np.column_stack([c[first : first + step] for c in columns]).ravel()
         for start in range(0, values.size, _BLOCK_VALUES):
             chunk = values[start : start + _BLOCK_VALUES]
             row_end = np.arange(start, start + chunk.size) % width == width - 1

@@ -22,6 +22,9 @@ from .realify import metric_g, parallelogram_area, symplectic
 # Relative tolerance of the minimality certificate, and the deviation, in
 # units of the matrix scale, below which a state counts as an eigenstate.
 CERT_TOL = 1e-5
+# A centred field whose norm is below this is lifted by a power of two
+# before its squares are taken, which could underflow.
+LIFT_BELOW = 2.0**-200
 
 
 @dataclass(frozen=True)
@@ -74,13 +77,37 @@ def centered_field(A: Observable, phi: State) -> np.ndarray:
     return -1j * centered(A, phi)(phi.amplitudes)
 
 
+def _lifted(u: np.ndarray) -> tuple:
+    """(u * 2**k, its norm, k), with k = 0 unless |u| < LIFT_BELOW.
+
+    Such a u is lifted until its largest modulus lies in [1/2, 1), so no
+    square of its entries underflows.  A power of two scales exactly: the
+    norm of u is that of the lifted u times 2**-k.
+    """
+    norm = float(np.linalg.norm(u))
+    peak = float(np.max(np.abs(u))) if norm < LIFT_BELOW else 0.0
+    if peak == 0.0:
+        return u, norm, 0
+    k = -math.frexp(peak)[1]
+    u = _ldexp(u, k)
+    return u, float(np.linalg.norm(u)), k
+
+
+def _ldexp(u: np.ndarray, k: int) -> np.ndarray:
+    """The complex array u times 2**k, part by part."""
+    return np.ldexp(np.ascontiguousarray(u).view(np.float64), k).view(np.complex128)
+
+
 def std_dev(A: Observable, phi: State) -> float:
     """Standard deviation of A in phi: the norm of the centered tangent field.
 
     Equals sqrt(<A^2> - <A>^2) and the projective-space speed of the flow
-    generated by A; vanishes exactly at eigenstates.
+    generated by A; vanishes exactly at eigenstates.  A field of norm below
+    LIFT_BELOW is lifted by a power of two before its squares are taken, so
+    a deviation as small as 1e-300 is not lost to underflow.
     """
-    return float(np.linalg.norm(centered_field(A, phi)))
+    _, norm, k = _lifted(centered_field(A, phi))
+    return math.ldexp(norm, -k)
 
 
 def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyReport:
@@ -89,47 +116,55 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
     theta = atan2(area, metric_term) in [0, pi] splits the product of
     deviations into the area (sin) and metric (cos) parts; when the product
     degenerates to zero, theta is reported as 0.
+
+    The centred fields are lifted by powers of two 2**kx and 2**ky where
+    their norms are below LIFT_BELOW (see _lifted), every term is computed
+    from the lifted fields, and each is scaled back by its own power of two,
+    exactly.  So no square underflows on the way, and a printed field loses
+    digits to underflow only where its own value is below the smallest
+    normal double.  theta's degeneracy test reads the lifted norms.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"operator dims {A.dim} != {B.dim}")
     a_c = centered(A, phi)
     b_c = centered(B, phi)
-    v = a_c(phi.amplitudes)
-    w = b_c(phi.amplitudes)
+    v, da, kx = _lifted(a_c(phi.amplitudes))
+    w, db, ky = _lifted(b_c(phi.amplitudes))
     X = -1j * v
     Y = -1j * w
-    da = float(np.linalg.norm(X))
-    db = float(np.linalg.norm(Y))
     g = metric_g(X, Y)
     area = parallelogram_area(X, Y)
 
     # <[A,B]> and <{A,B}> of the centred pair from the second products
-    # A_c(B_c phi) and B_c(A_c phi): no n x n product is formed.
+    # A_c(B_c phi) and B_c(A_c phi), both lifted by 2**(kx + ky): no n x n
+    # product is formed.
     ab = a_c(w)
     ba = b_c(v)
-    scale = max(A.scale, B.scale)
+    if kx or ky:
+        ab, ba = _ldexp(ab, kx), _ldexp(ba, ky)
     comm_half = 0.5 * abs(inner(ab - ba, phi.amplitudes))
-    comm_half_symp = abs(symplectic(X, Y))
-    if abs(comm_half - comm_half_symp) > 1e-10 * scale**2:
+    anti_half = 0.5 * abs(inner(ab + ba, phi.amplitudes))
+    k = kx + ky
+    scale = max(A.scale, B.scale)
+    if abs(math.ldexp(comm_half - abs(symplectic(X, Y)), -k)) > 1e-10 * scale**2:
         raise GeometryError(
             "commutator term disagrees between the second products "
             "A_c(B_c phi), B_c(A_c phi) and the symplectic form of X, Y"
         )
-    anti_half = 0.5 * abs(inner(ab + ba, phi.amplitudes))
 
     theta = 0.0 if da * db <= 1e-300 else math.atan2(area, g)
     return UncertaintyReport(
-        delta_a=da,
-        delta_b=db,
-        area=area,
-        metric_term=g,
-        commutator_half=comm_half,
-        anticommutator_half=anti_half,
-        identity_residual=da * da * db * db - area * area - g * g,
+        delta_a=math.ldexp(da, -kx),
+        delta_b=math.ldexp(db, -ky),
+        area=math.ldexp(area, -k),
+        metric_term=math.ldexp(g, -k),
+        commutator_half=math.ldexp(comm_half, -k),
+        anticommutator_half=math.ldexp(anti_half, -k),
+        identity_residual=math.ldexp(da * da * db * db - area * area - g * g, -2 * k),
         theta=theta,
-        robertson_slack=da * db - comm_half,
-        schrodinger_slack=da * da * db * db - comm_half**2 - anti_half**2,
-        area_bound_slack=area - comm_half,
+        robertson_slack=math.ldexp(da * db - comm_half, -k),
+        schrodinger_slack=math.ldexp(da * da * db * db - comm_half**2 - anti_half**2, -2 * k),
+        area_bound_slack=math.ldexp(area - comm_half, -k),
     )
 
 

@@ -180,9 +180,7 @@ def test_criterion_7_optimizer():
     g = Grid(256, 40.0)
     p = momentum_op(g)
     x = position_op(g)
-    grid_res = minimize_product(
-        p, x, gaussian(g, 0.0, 0.0, 1.3), max_iter=2000, grad_tol=1e-6
-    )
+    grid_res = minimize_product(p, x, gaussian(g, 0.0, 0.0, 1.3), max_iter=2000)
     assert grid_res.value <= (g.hbar / 2) ** 2 + 1e-3
     assert grid_res.certificate.is_minimal
     _report(

@@ -179,7 +179,7 @@ class TestMinimizeProduct:
         p = momentum_op(g)
         x = position_op(g)
         start = gaussian(g, 0.0, 0.0, 1.3)
-        res = minimize_product(p, x, start, max_iter=2000, grad_tol=1e-6)
+        res = minimize_product(p, x, start, max_iter=2000)
         assert res.value <= (g.hbar / 2) ** 2 + 1e-3
         assert res.certificate.is_minimal
 
@@ -338,7 +338,7 @@ class TestMinimizeProduct:
         g = Grid(256, 40.0)
         p = momentum_op(g)
         x = position_op(g)
-        res = minimize_product(p, x, gaussian(g, 0.0, 0.0, 1.3), max_iter=2000, grad_tol=1e-6)
+        res = minimize_product(p, x, gaussian(g, 0.0, 0.0, 1.3), max_iter=2000)
         rep = relations_report(p, x, res.state)
         assert rep.area == pytest.approx(g.hbar / 2, abs=1e-3)
         assert abs(rep.metric_term) <= 1e-3

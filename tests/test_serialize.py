@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from statesphere.serialize import _csv_rows, format_float
+from statesphere.serialize import _BLOCK_VALUES, _write_table, format_float
 
 TINY, SMALLEST_NORMAL, LARGEST = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
 
 
 def rendered(values) -> list:
-    """Each value's text as _csv_rows writes the values as one row."""
+    """Each value's text as _write_table writes the values as one row."""
     buf = io.StringIO()
-    _csv_rows(buf, [np.asarray(values, dtype=float).ravel()])
-    text = buf.getvalue()
-    assert text.endswith("\r\n") and text.count("\r\n") == 1
+    _write_table(buf, ["row"], [np.asarray(values, dtype=float).reshape(1, -1)])
+    header, text = buf.getvalue().split("\r\n", 1)
+    assert header == "row" and text.endswith("\r\n") and text.count("\r\n") == 1
     return text[:-2].split(",")
 
 
@@ -98,20 +98,23 @@ def test_matches_format_float(values):
 def test_rows_end_in_crlf():
     table = np.arange(12.0).reshape(3, 4) / 8
     buf = io.StringIO()
-    _csv_rows(buf, table)
-    assert buf.getvalue() == "".join(
+    _write_table(buf, ["t", "a", "b", "s"], [table[:, 0], table[:, 1:3], table[:, 3]])
+    assert buf.getvalue() == "t,a,b,s\r\n" + "".join(
         ",".join(format_float(v) for v in row) + "\r\n" for row in table.tolist()
     )
 
 
 @pytest.mark.parametrize("width", [1, 3, 4095, 4096, 4097, 9000])
 def test_blocks_split_rows_anywhere(width):
-    # rows narrower and wider than a block, and blocks of whole rows
-    table = np.random.default_rng(width).standard_normal((3, width))
+    # rows narrower and wider than a block, at least three blocks of whole
+    # rows, and a 1-D column beside a 2-D one, which is empty at width 1
+    rows = 3 + 2 * (_BLOCK_VALUES // width)
+    table = np.random.default_rng(width).standard_normal((rows, width))
     buf = io.StringIO()
-    _csv_rows(buf, iter(table))
+    _write_table(buf, [f"c{k}" for k in range(width)], [table[:, 0], table[:, 1:]])
     lines = buf.getvalue().split("\r\n")
-    assert lines[-1] == "" and len(lines) == 4
-    assert [line.split(",") for line in lines[:-1]] == [
+    assert lines[-1] == "" and len(lines) == rows + 2
+    assert lines[0].split(",") == [f"c{k}" for k in range(width)]
+    assert [line.split(",") for line in lines[1:-1]] == [
         [format_float(v) for v in row] for row in table.tolist()
     ]
