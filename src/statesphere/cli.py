@@ -143,7 +143,7 @@ def _emit(fields: dict, fmt: str) -> None:
     """One JSON object, or a CSV header of the field names and one row."""
     if fmt == "csv":
         print(",".join(fields))
-        print(serialize.csv_row(fields.values()))
+        print(",".join(map(serialize.dumps, fields.values())))
     else:
         print(serialize.dumps(fields))
 

@@ -1,8 +1,8 @@
 """Fubini-Study geometry of the projective space of rays.
 
-Distances carry an explicit `scale` multiplier: the geodesic distance
-arccos|<phi, psi>| at scale 1 ranges over [0, pi/2]; the spin-1/2 bound
-quoted as pi/2 in the literature corresponds to scale 2.  A degenerate
+Distances are plain angles: arccos|<phi, psi>| ranges over [0, pi/2].
+triangle_report alone multiplies them by a metric `scale`; the spin-1/2
+bound quoted as pi/2 in the literature corresponds to scale 2.  A degenerate
 observable's eigenstate set is measured through its eigenspaces, never
 through a particular eigenbasis.
 """
@@ -52,7 +52,7 @@ def _nearest_angle(coefficients: np.ndarray, starts: np.ndarray) -> float:
     return np.arctan2(np.sqrt(mass.sum(axis=0)), np.sqrt(inside)).min(initial=np.pi / 2)
 
 
-def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
+def fs_distance(phi: State, psi: State) -> float:
     """Geodesic distance between the rays of phi and psi.
 
     atan2(|u - v <u, v>|, |<u, v>|) is accurate near 0 too.  It is taken both
@@ -64,7 +64,7 @@ def fs_distance(phi: State, psi: State, scale: float = 1.0) -> float:
     for u, v in ((phi.amplitudes, psi.amplitudes), (psi.amplitudes, phi.amplitudes)):
         c = np.vdot(v, u)  # <u, v>
         angles.append(math.atan2(np.linalg.norm(u - c * v), abs(c)))
-    return _scaled(min(angles), scale)
+    return min(angles)
 
 
 def eigenset(A: Observable) -> EigenSet:
@@ -72,7 +72,7 @@ def eigenset(A: Observable) -> EigenSet:
     return spectral(A).eigenset
 
 
-def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
+def dist_to_eigenset(A: Observable, phi: State) -> float:
     """Distance from the ray of phi to the set of eigenstates of A.
 
     Minimum over eigenspaces P of the angle between phi and P; zero exactly
@@ -82,10 +82,10 @@ def dist_to_eigenset(A: Observable, phi: State, scale: float = 1.0) -> float:
         raise DimensionMismatch(f"operator dim {A.dim} != state dim {phi.dim}")
     s = eigenset(A)
     coefficients = s.spectrum.coefficients(phi.amplitudes[:, None])
-    return _scaled(_nearest_angle(coefficients, s.starts), scale)
+    return _nearest_angle(coefficients, s.starts)
 
 
-def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float:
+def eigenset_distance(A: Observable, B: Observable) -> float:
     """Distance between the eigenstate sets of A and B.
 
     The minimum over eigenspace pairs of their smallest principal angle;
@@ -106,19 +106,19 @@ def eigenset_distance(A: Observable, B: Observable, scale: float = 1.0) -> float
     forms = (a.spectrum, b.spectrum)
     if all(isinstance(s, DiagonalForm) for s in forms):
         if forms[0].fourier == forms[1].fourier:
-            return _scaled(0.0, scale)
+            return 0.0
         if a.widths.max() == b.widths.max() == 1:
-            return _scaled(math.atan(math.sqrt(A.dim - 1)), scale)
+            return math.atan(math.sqrt(A.dim - 1))
     overlap = b.spectrum.coefficients(a.spectrum.eigenvectors)
     if a.widths.max() == 1:  # every eigenspace of A is a ray
-        return _scaled(_nearest_angle(overlap, b.starts), scale)
+        return _nearest_angle(overlap, b.starts)
     angle = min(_nearest_angle(overlap[:, a.starts[a.widths == 1]], b.starts),
                 _nearest_angle(overlap[b.starts[b.widths == 1]].T, a.starts))
     for wb, r in b.groups:
         for wa, c in a.groups:
             if wa > 1 and wb > 1:
                 angle = min(angle, _smallest_angle(overlap, r, c))
-    return _scaled(angle, scale)
+    return angle
 
 
 def _smallest_angle(overlap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
@@ -146,10 +146,10 @@ def _smallest_angle(overlap: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> 
 def triangle_report(
     A: Observable, B: Observable, phi: State, scale: float = 1.0
 ) -> TriangleReport:
-    """Triangle-inequality uncertainty relation between phi, S_A and S_B."""
-    d_phi_a = dist_to_eigenset(A, phi, scale)
-    d_phi_b = dist_to_eigenset(B, phi, scale)
-    d_a_b = eigenset_distance(A, B, scale)
+    """Triangle-inequality relation between phi, S_A and S_B, each distance times `scale`."""
+    d_phi_a = _scaled(dist_to_eigenset(A, phi), scale)
+    d_phi_b = _scaled(dist_to_eigenset(B, phi), scale)
+    d_a_b = _scaled(eigenset_distance(A, B), scale)
     slack = d_phi_a + d_phi_b - d_a_b
     if not math.isfinite(slack):  # as it is when any distance overflowed
         raise InvalidParameter(f"scale {scale} overflows a distance or the triangle slack")

@@ -7,9 +7,8 @@ the symplectic form.  Parallelogram areas are computed by the Gram formula.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .errors import DimensionMismatch
 from .hilbert import inner
 
 
@@ -29,14 +28,6 @@ def parallelogram_area(xi, eta) -> float:
     Gram formula sqrt(|xi|^2 |eta|^2 - G(xi,eta)^2); a slightly negative
     radicand from floating-point Cauchy-Schwarz violation is clamped to 0.
     """
-    xi = np.asarray(xi, dtype=complex).ravel()
-    eta = np.asarray(eta, dtype=complex).ravel()
-    if xi.size != eta.size:
-        raise DimensionMismatch(f"lengths {xi.size} != {eta.size}")
-    n2x = float(np.real(np.vdot(xi, xi)))
-    n2y = float(np.real(np.vdot(eta, eta)))
     g = metric_g(xi, eta)
-    rad = n2x * n2y - g * g
-    if rad < 0.0:
-        rad = 0.0
-    return float(np.sqrt(rad))
+    rad = metric_g(xi, xi) * metric_g(eta, eta) - g * g
+    return math.sqrt(max(rad, 0.0))

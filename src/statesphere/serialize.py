@@ -2,11 +2,11 @@
 
 Floats are rendered at 17 significant digits (FLOAT_FORMAT) and dict
 insertion order is preserved, so identical inputs produce byte-identical
-output.  `dumps` and `csv_row` format value by value.  A table of floats,
-such as evolve's CSV, goes through `_write_table`, which finds the same 17
-digits for a block of values at a time in numpy: each value's bytes are
-those of FLOAT_FORMAT, and a value whose rounding numpy could not decide
-with certainty is formatted by FLOAT_FORMAT itself.
+output.  `dumps` formats value by value, for JSON and a report's CSV row.
+A table of floats, such as evolve's CSV, goes through `_write_table`, which
+finds the same 17 digits for a block of values at a time in numpy: each
+value's bytes are those of FLOAT_FORMAT, and a value whose rounding numpy
+could not decide with certainty is formatted by FLOAT_FORMAT itself.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ def dumps(obj) -> str:
     if isinstance(obj, list):
         return "[" + ", ".join(map(dumps, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def csv_row(values) -> str:
-    """Comma-separated row, each value rendered as in dumps."""
-    return ",".join(map(dumps, values))
 
 
 # Values per block of _write_table: its working arrays stay a few hundred kB

@@ -136,14 +136,18 @@ def relations_report(A: Observable, B: Observable, phi: State) -> UncertaintyRep
     area = parallelogram_area(X, Y)
 
     # <[A,B]> and <{A,B}> of the centred pair from the second products
-    # A_c(B_c phi) and B_c(A_c phi), both lifted by 2**(kx + ky): no n x n
-    # product is formed.
+    # A_c(B_c phi) and B_c(A_c phi), lifted by 2**ky and 2**kx: no n x n
+    # product is formed.  Both are brought down to 2**min(kx, ky) before
+    # they are combined, and the halves lifted by 2**max(kx, ky) as scalars,
+    # so a product's component orthogonal to phi, of size scale * 2**k,
+    # does not overflow.
+    m = max(kx, ky)
     ab = a_c(w)
     ba = b_c(v)
-    if kx or ky:
-        ab, ba = _ldexp(ab, kx), _ldexp(ba, ky)
-    comm_half = 0.5 * abs(inner(ab - ba, phi.amplitudes))
-    anti_half = 0.5 * abs(inner(ab + ba, phi.amplitudes))
+    if m:
+        ab, ba = _ldexp(ab, kx - m), _ldexp(ba, ky - m)
+    comm_half = math.ldexp(0.5 * abs(inner(ab - ba, phi.amplitudes)), m)
+    anti_half = math.ldexp(0.5 * abs(inner(ab + ba, phi.amplitudes)), m)
     k = kx + ky
     scale = max(A.scale, B.scale)
     if abs(math.ldexp(comm_half - abs(symplectic(X, Y)), -k)) > 1e-10 * scale**2:

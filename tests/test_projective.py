@@ -109,11 +109,6 @@ class TestFsDistance:
         d = fs_distance(validate_state([1, 0]), normalize([1, 1]))
         assert d == pytest.approx(np.pi / 4)
 
-    def test_scale_multiplier(self):
-        d1 = fs_distance(validate_state([1, 0]), validate_state([0, 1]), 1.0)
-        d2 = fs_distance(validate_state([1, 0]), validate_state([0, 1]), 2.0)
-        assert d2 == pytest.approx(2 * d1)
-
     def test_metric_axioms(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -366,5 +361,5 @@ class TestSpeedDistanceLink:
         # ray distance to its eigenstate set
         for theta in np.linspace(0.0, np.pi / 2, 25):
             phi = validate_state([np.cos(theta / 2), np.sin(theta / 2)])
-            d = dist_to_eigenset(sz, phi, 1.0)
+            d = dist_to_eigenset(sz, phi)
             assert std_dev(sz, phi) == pytest.approx(np.sin(2 * d), abs=1e-10)

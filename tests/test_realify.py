@@ -83,8 +83,9 @@ class TestMetricAndSymplectic:
             )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            metric_g([1, 0], [1, 0, 0])
+        for form in (metric_g, symplectic, parallelogram_area):
+            with pytest.raises(DimensionMismatch):
+                form([1, 0], [1, 0, 0])
 
 
 class TestParallelogramArea:

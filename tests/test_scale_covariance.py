@@ -11,8 +11,10 @@ print angles and a verdict, the same bytes, with the same exit codes.
 `minimize` is not covered: its scale floor of 1, its gradient test and
 minimal_condition's eigenstate shortcut are not yet homogeneous in the
 scale, and at grid L = 40 * 2**-27, hbar = 2**-112 it certifies a state
-nine times above the bound.  `evolve`'s covariance is
-tests/test_cli.py::TestEvolve::test_scale_covariant.
+nine times above the bound.  `evolve` on a generator scaled by 2**s, with
+--t-max scaled by 2**-s, must print the same amplitudes' bytes, and t,
+fs_speed and std_dev scaled by 2**-s, 2**s and 2**s exactly: here on dense
+generators, and on grid p in tests/test_cli.py::TestEvolve::test_scale_covariant.
 """
 
 import contextlib
@@ -23,9 +25,14 @@ import sys
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from statesphere import Grid, gaussian
 from statesphere.cli import main
+
+from oracle import DIGITS, problem_operators, report_fields
+
+EPS = np.finfo(float).eps
 
 # Each report field's degree in A's scale and in B's (README, oracle section).
 DEGREES = {
@@ -121,6 +128,31 @@ def test_dense_pairs_scale_exactly(tmp_path, seed, n):
         assert got["distances"][0] == got["selftest"][0] == 0
 
 
+@pytest.mark.parametrize("seed, n", [(1, 2), (2, 3), (3, 5), (4, 8), (5, 16), (6, 32)])
+def test_evolve_on_dense_generators_scales_exactly(tmp_path, seed, n):
+    exponent = int(np.random.default_rng(seed).integers(-60, 61))
+    phi, a = dense_pair(seed, n, (exponent,))
+    path = tmp_path / "generator.json"
+
+    def rows(s):
+        path.write_text(json.dumps({"dim": n, "state": pairs(phi), "observables": {"a": scaled(a, s)}}))
+        t_max = math.ldexp(3.0, -exponent - s)
+        rc, out = run(["evolve", "--input", str(path), "--generator", "a",
+                       "--t-max", repr(t_max), "--steps", "5"])
+        assert rc == 0
+        return [row.split(",") for row in out.split("\r\n")[1:-1]]
+
+    base = rows(0)
+    assert len(base) == 5
+    for s in sorted({shift for pair in SHIFTS for shift in pair} - {0}):
+        got = rows(s)
+        assert len(got) == len(base)
+        for row, ref in zip(got, base):
+            assert row[1:-2] == ref[1:-2], s
+            assert float(row[0]) == math.ldexp(float(ref[0]), -s)
+            assert [float(cell) for cell in row[-2:]] == [math.ldexp(float(cell), s) for cell in ref[-2:]]
+
+
 @pytest.mark.parametrize("s, t", [(-300, -300), (-500, -500), (-500, 0), (0, -300)])
 @pytest.mark.parametrize("seed, n", [(0, 4), (5, 16)])
 def test_report_where_squares_underflow(tmp_path, seed, n, s, t):
@@ -175,3 +207,51 @@ def test_small_deviation_is_not_lost(tmp_path):
     for row in rows:
         assert float(row[-1]) == 1e-300
         assert float(row[-2]) == pytest.approx(1e-300, rel=1e-9)
+
+
+# Delta a is 1e-250, so its field is lifted by about 2**830, while a's and
+# b's other entries are of size 1e70: the second products' components
+# orthogonal to phi are of size 1e70 * 2**830 unless they are scaled down.
+FAR_LIFT = {
+    "dim": 2,
+    "state": [[1.0, 0.0], [1e-320, 0.0]],
+    "observables": {
+        "a": [[[1e70, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "b": [[[0.0, 0.0], [1e70, 0.0]], [[1e70, 0.0], [0.0, 0.0]]],
+    },
+}
+
+
+@pytest.mark.parametrize("pair", [("a", "b"), ("a", "a"), ("b", "a")])
+def test_report_lifted_far_beside_a_large_scale(tmp_path, pair):
+    # every field within tests/test_oracle.py's bound n eps scale**degree of
+    # the oracle, and the deviations, which the lift keeps, within n eps of
+    # their own size
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR_LIFT))
+    rc, out = run(["report", "--input", str(path), "--pair", *pair])
+    assert rc == 0
+    fields = json.loads(out)
+    assert list(fields) == list(DEGREES)
+    phi, operators = problem_operators(FAR_LIFT)
+    exact = report_fields(operators[pair[0]], operators[pair[1]], phi)
+    with mp.workdps(DIGITS):
+        errors = {name: abs(mp.mpf(value) - exact[name]) for name, value in fields.items()}
+        for name, error in errors.items():
+            assert error <= 2 * EPS * 1e70 ** sum(DEGREES[name]), (name, fields[name], exact[name])
+        for name in ("delta_a", "delta_b"):
+            assert errors[name] <= 2 * EPS * exact[name], (name, fields[name], exact[name])
+
+
+def test_fs_speed_stays_within_its_rounding_floor(tmp_path):
+    # A speed of 1e-250 is far below the central difference's rounding floor
+    # eps / dt = 1e4 eps (lambda_max - lambda_min) = 2.2e58; fs_speed may
+    # print anything up to that floor, but no further from std_dev
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR_LIFT))
+    rc, out = run(["evolve", "--input", str(path), "--generator", "a", "--t-max", "1", "--steps", "3"])
+    rows = [[float(cell) for cell in line.split(",")] for line in out.split("\r\n")[1:-1]]
+    assert rc == 0 and len(rows) == 3
+    for row in rows:
+        assert row[-1] == pytest.approx(1e-250, rel=1e-4)
+        assert abs(row[-2] - row[-1]) <= 1e4 * EPS * 1e70
